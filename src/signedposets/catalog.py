@@ -1,147 +1,81 @@
 """Exhaustive catalogs of signed posets on small ground sets.
 
-Strategy: walk the 3^(n²) asymmetric assignments (each antipodal root pair
-is absent, positive, or negative) as bitmasks over the 2n² roots, discard
-anything whose pairwise positive-linear closure already escapes the set, and
-confirm the survivors with the exact LP test.  The pairwise tables are sound
-pruning only — every reported poset passes the full closure check.
-
-For n ≥ 4 the assignment walk is hopeless (3^16 ≈ 43M); behind ``force``
-we instead grow closed sets one generator at a time, which reaches every
-closed set because plc is a closure operator.
+Every signed poset is the closure of its roots added one at a time, and each
+intermediate closure is again a signed poset.  So the catalog grows from the
+empty poset: close each known poset with one more root (neither it nor its
+negative already present) through the bitmask kernel of `posets`, and keep
+every asymmetric result not seen before.  No LP is solved.  Posets are
+listed in lexicographic order of their assignment (per antipodal pair in
+`_walk_order`: 0 absent, 1 positive, 2 negative), which fixes each poset's
+position in the catalog.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 from .perms import act, enumerate_signed_permutations
-from .posets import SignedPoset, cone_contains, plc
-from .roots import Root, all_roots
+from .posets import RootKernel, SignedPoset, close_mask, root_kernel
+from .roots import Root
 
 
-def _root_index(n: int) -> tuple[list[Root], dict[Root, int]]:
-    roots = all_roots(n)
-    return roots, {alpha: i for i, alpha in enumerate(roots)}
+def _closed_masks(kernel: RootKernel) -> set[int]:
+    """The masks of every signed poset, grown one root at a time from ∅."""
+    everything = (1 << len(kernel.roots)) - 1
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        grown = []
+        for mask in frontier:
+            free = everything & ~(mask | kernel.negated(mask))
+            while free:
+                bit = free & -free
+                free ^= bit
+                closed = close_mask(kernel, bit, mask)
+                if closed not in seen and not kernel.clash(closed):
+                    seen.add(closed)
+                    grown.append(closed)
+        frontier = grown
+    return seen
 
 
-def _pair_closure_masks(n: int) -> dict[tuple[int, int], int]:
-    """closure[(i, j)] = bitmask of roots inside cone(root_i, root_j)."""
-    roots, index = _root_index(n)
-    masks: dict[tuple[int, int], int] = {}
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if roots[i] == -roots[j]:
-                continue  # never co-resident in an asymmetric set
-            mask = 0
-            pair = [roots[i], roots[j]]
-            for k, gamma in enumerate(roots):
-                if k in (i, j) or cone_contains(gamma, pair, n):
-                    mask |= 1 << k
-            masks[(i, j)] = mask
-    return masks
-
-
-def _mask_to_poset(mask: int, roots: list[Root], n: int) -> SignedPoset:
-    return SignedPoset(n, frozenset(roots[k] for k in range(len(roots)) if mask >> k & 1))
-
-
-def _poset_to_mask(p: SignedPoset, index: dict[Root, int]) -> int:
-    mask = 0
-    for alpha in p.roots:
-        mask |= 1 << index[alpha]
-    return mask
-
-
-def _confirm_closed(mask: int, roots: list[Root], n: int) -> bool:
-    members = [roots[k] for k in range(len(roots)) if mask >> k & 1]
-    for k, gamma in enumerate(roots):
-        if mask >> k & 1:
-            continue
-        if cone_contains(gamma, members, n):
-            return False
-    return True
-
-
-def iter_signed_posets(n: int, force: bool = False) -> Iterator[SignedPoset]:
-    """Yield every signed poset on [n], smallest masks first within the walk.
-
-    Raises ValueError for n ≥ 4 unless ``force`` is set.
-    """
-    if n >= 4 and not force:
-        raise ValueError(
-            f"full enumeration at n={n} walks 3^{n * n} assignments; pass force=True"
-        )
-    if n >= 4:
-        yield from _iter_by_growing(n)
-        return
-
-    roots, _ = _root_index(n)
-    pair_masks = _pair_closure_masks(n)
+def _walk_order(n: int, kernel: RootKernel):
+    """Sort key: per antipodal pair 0 (absent), 1 (positive), 2 (negative)."""
     pairs = []
     for a in range(1, n + 1):
         pairs.append((Root.unit(a, 1), Root.unit(a, -1)))
         for b in range(a + 1, n + 1):
             pairs.append((Root.pair(a, 1, b, 1), Root.pair(a, -1, b, -1)))
             pairs.append((Root.pair(a, 1, b, -1), Root.pair(a, -1, b, 1)))
-    index = {alpha: i for i, alpha in enumerate(roots)}
-    pair_bits = [(1 << index[pos], 1 << index[neg]) for pos, neg in pairs]
+    bits = [(kernel.index[pos], kernel.index[neg]) for pos, neg in pairs]
 
-    for choice in product((0, 1, 2), repeat=len(pairs)):
-        mask = 0
-        for c, (pos_bit, neg_bit) in zip(choice, pair_bits):
-            if c == 1:
-                mask |= pos_bit
-            elif c == 2:
-                mask |= neg_bit
-        members = [k for k in range(len(roots)) if mask >> k & 1]
-        ok = True
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                i, j = members[ai], members[bi]
-                if pair_masks[(i, j)] & ~mask:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and _confirm_closed(mask, roots, n):
-            yield _mask_to_poset(mask, roots, n)
+    def key(mask: int) -> tuple[int, ...]:
+        return tuple(1 if mask >> i & 1 else 2 if mask >> j & 1 else 0 for i, j in bits)
+
+    return key
 
 
-def _iter_by_growing(n: int) -> Iterator[SignedPoset]:
-    """Grow closed sets one root at a time; reaches every closed set."""
-    roots, index = _root_index(n)
-    seen = {0}
-    frontier = [frozenset()]
-    yield SignedPoset(n, frozenset())
-    while frontier:
-        next_frontier = []
-        for current in frontier:
-            for alpha in roots:
-                if alpha in current or -alpha in current:
-                    continue
-                closure = plc(current | {alpha}, n)
-                if any(-beta in closure for beta in closure):
-                    continue
-                mask = 0
-                for beta in closure:
-                    mask |= 1 << index[beta]
-                if mask in seen:
-                    continue
-                seen.add(mask)
-                next_frontier.append(closure)
-                yield SignedPoset(n, closure)
-        frontier = next_frontier
+def iter_signed_posets(n: int, force: bool = False) -> Iterator[SignedPoset]:
+    """Yield every signed poset on [n], in the order of the assignment walk.
+
+    Raises ValueError for n ≥ 4 unless ``force`` is set.
+    """
+    if n >= 4 and not force:
+        raise ValueError(
+            f"the catalog at n={n} is large (60,201 posets at n=4); pass force=True"
+        )
+    kernel = root_kernel(n)
+    for mask in sorted(_closed_masks(kernel), key=_walk_order(n, kernel)):
+        yield SignedPoset(n, kernel.members(mask))
 
 
 def _group_root_permutations(n: int) -> list[tuple[int, ...]]:
     """For each signed permutation ω, the induced permutation of root indices."""
-    roots, index = _root_index(n)
-    perms = []
-    for omega in enumerate_signed_permutations(n):
-        perms.append(tuple(index[act(omega, alpha)] for alpha in roots))
-    return perms
+    kernel = root_kernel(n)
+    return [
+        tuple(kernel.index[act(omega, alpha)] for alpha in kernel.roots)
+        for omega in enumerate_signed_permutations(n)
+    ]
 
 
 def canonical_mask(mask: int, root_perms: list[tuple[int, ...]]) -> int:
@@ -160,10 +94,9 @@ def canonical_mask(mask: int, root_perms: list[tuple[int, ...]]) -> int:
 
 def canonical_form(p: SignedPoset) -> SignedPoset:
     """The orbit representative with the smallest bitmask over sorted roots."""
-    roots, index = _root_index(p.n)
-    perms = _group_root_permutations(p.n)
-    mask = canonical_mask(_poset_to_mask(p, index), perms)
-    return _mask_to_poset(mask, roots, p.n)
+    kernel = root_kernel(p.n)
+    mask = canonical_mask(kernel.mask(p.roots), _group_root_permutations(p.n))
+    return SignedPoset(p.n, kernel.members(mask))
 
 
 def enumerate_signed_posets(
@@ -175,12 +108,13 @@ def enumerate_signed_posets(
     its canonical form.
     """
     if up_to_iso:
-        roots, index = _root_index(n)
+        kernel = root_kernel(n)
         perms = _group_root_permutations(n)
-        reps = set()
-        for p in iter_signed_posets(n, force=force):
-            reps.add(canonical_mask(_poset_to_mask(p, index), perms))
-        posets = [_mask_to_poset(mask, roots, n) for mask in sorted(reps)]
+        reps = {
+            canonical_mask(kernel.mask(p.roots), perms)
+            for p in iter_signed_posets(n, force=force)
+        }
+        posets = [SignedPoset(n, kernel.members(mask)) for mask in sorted(reps)]
     else:
         posets = list(iter_signed_posets(n, force=force))
     return sorted(posets, key=lambda p: (len(p.roots), p.sorted_roots()))

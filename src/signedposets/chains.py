@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
@@ -26,10 +26,8 @@ from .ehrhart import (
     poly_to_json,
 )
 from .errors import OracleMismatch
-from .geometry import order_polytope, signed_filters, vertices
+from .geometry import cube_vertices, order_polytope, signed_filters, vertices
 from .halfspaces import Halfspace, HalfspaceSystem, dedupe_rows
-from .linalg import rank as matrix_rank
-from .linalg import solve_square
 from .posets import SignedPoset
 from .roots import Root, from_vector, inner_product
 
@@ -185,23 +183,6 @@ def is_reflexive(system: HalfspaceSystem, cross_check: bool = False) -> bool:
     return True
 
 
-def _brute_force_vertices(system: HalfspaceSystem) -> set[tuple]:
-    """Vertices of a (bounded) system: feasible solutions of full-rank n-row subsets."""
-    n = system.n
-    rows = [row for row in system.rows]
-    found = set()
-    for subset in combinations(rows, n):
-        mat = [row.a for row in subset]
-        if matrix_rank(mat) != n:
-            continue
-        point = solve_square(mat, [row.b for row in subset])
-        if point is None:
-            continue
-        if system.contains(point):
-            found.add(point)
-    return found
-
-
 def compare_order_chain(p: SignedPoset) -> dict:
     """Side-by-side report on O_P versus C_P (Ehrhart, vertices, interior origin)."""
     o_system = order_polytope(p)
@@ -214,7 +195,7 @@ def compare_order_chain(p: SignedPoset) -> dict:
         "ehrhart_chain": poly_to_json(ehr_c),
         "ehrhart_equal": ehr_o == ehr_c,
         "order_vertex_count": len(vertices(p)),
-        "chain_vertex_count": len(_brute_force_vertices(c_system)),
+        "chain_vertex_count": len(cube_vertices(c_system)),
         "order_lattice_points": len(signed_filters(p)),
         "chain_lattice_points": count_points(c_system, 1),
         "origin_interior_chain": c_system.contains((0,) * p.n, strict=True),

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Reports are JSON on stdout (one object, ``"schema": 1``; compact unless
---json asks for indentation) with a human summary on stderr.  ``enumerate``
-is the exception: it streams one JSON object per poset.  Exit codes:
+--json asks for indentation) with a human summary on stderr.  Two commands
+differ: ``enumerate`` streams one JSON object per poset, and ``export-dot``
+without --dot prints the raw DOT text.  Exit codes:
 0 ok, 1 verification failure, 2 input error, 3 internal inconsistency.
 """
 

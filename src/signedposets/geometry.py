@@ -93,15 +93,25 @@ def signed_filters(p: SignedPoset) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def vertices(p: SignedPoset) -> list[tuple[int, ...]]:
-    """Filters at which the active rows of the full description have rank n."""
-    system = order_polytope(p)
+def cube_vertices(system: HalfspaceSystem) -> list[tuple[int, ...]]:
+    """Points of {−1,0,1}^n inside the system whose active rows have rank n, sorted.
+
+    These are the vertices of a polytope inside [−1,1]^n whose vertices are
+    lattice points, as O_P's and C_P's are.
+    """
     out = []
-    for x in signed_filters(p):
+    for x in product((-1, 0, 1), repeat=system.n):
+        if not system.contains(x):
+            continue
         active = [row.a for row in system.rows if row.evaluate(x) == row.b]
-        if len(active) >= p.n and rank(active) == p.n:
+        if len(active) >= system.n and rank(active) == system.n:
             out.append(x)
     return out
+
+
+def vertices(p: SignedPoset) -> list[tuple[int, ...]]:
+    """Filters at which the active rows of the full description have rank n."""
+    return cube_vertices(order_polytope(p))
 
 
 def homogenized_poset(p: SignedPoset) -> SignedPoset:

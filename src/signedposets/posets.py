@@ -1,18 +1,117 @@
 """Signed posets: positive-linear-closed, asymmetric subsets of B_n.
 
-The closure operator plc(S) = cone(S) ∩ B_n is decided pointwise by exact
-rational feasibility (is γ a nonnegative combination of S?), never by floating
-point and never by an incomplete pairwise fixpoint.
+Closure is computed on root bitmasks by Reiner's pairwise rule (V. Reiner,
+"Signed posets", JCTA 62, 1993): α, β ∈ P and cα + dβ ∈ B_n with c, d > 0
+put that root in P.  Between two roots of B_n that rule yields α + β,
+(α + β)/2, or α + 2β = (α + β) + β where α + β is itself a root; so the
+fixpoint over one integer table per n, {α+β, (α+β)/2} ∩ B_n for every pair,
+is the rule's fixpoint (`close_mask`).  It always lies inside
+plc(S) = cone(S) ∩ B_n.  When it is asymmetric it is a signed poset in
+Reiner's sense and equals plc(S): the two definitions agree, which the LP
+confirmed on all 60,201 signed posets at n = 4 and the tests re-check.  Only
+a symmetric fixpoint sends `plc` back to the exact rational LP, one
+feasibility test per root.  `cone_contains` and `is_closed` keep the LP:
+they are the definition, and the oracle the kernel is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import AsymmetryViolation, CycleDetected, InternalInconsistency
 from .linalg import nonneg_combination
 from .roots import Root, all_roots
+
+
+class RootKernel(NamedTuple):
+    """Bit k of a mask stands for roots[k], in `all_roots(n)` order."""
+
+    roots: tuple[Root, ...]
+    index: dict[Root, int]
+    made: tuple[tuple[int, ...], ...]  # made[i][j]: {α_i+α_j, (α_i+α_j)/2} ∩ B_n
+    partners: tuple[int, ...]  # partners[i]: the j with made[i][j] nonempty
+    negation: tuple[int, ...]  # negation[k] is the index of −roots[k]
+
+    def mask(self, roots: Iterable[Root]) -> int:
+        out = 0
+        for alpha in roots:
+            out |= 1 << self.index[alpha]
+        return out
+
+    def members(self, mask: int) -> frozenset[Root]:
+        return frozenset(self.roots[k] for k in _bits(mask))
+
+    def negated(self, mask: int) -> int:
+        out = 0
+        for k in _bits(mask):
+            out |= 1 << self.negation[k]
+        return out
+
+    def clash(self, mask: int) -> int:
+        """The members whose negatives are members too (0 iff asymmetric)."""
+        return mask & self.negated(mask)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=None)
+def root_kernel(n: int) -> RootKernel:
+    """The pair table of B_n, built with integer arithmetic on first use."""
+    roots = tuple(all_roots(n))
+    vectors = [alpha.vector(n) for alpha in roots]
+    at = {v: k for k, v in enumerate(vectors)}
+    made = []
+    for i, a in enumerate(vectors):
+        row = []
+        for j, b in enumerate(vectors):
+            total = tuple(x + y for x, y in zip(a, b))
+            mask = 1 << at[total] if total in at else 0
+            if j != i and all(v % 2 == 0 for v in total):
+                half = tuple(v // 2 for v in total)
+                if half in at:
+                    mask |= 1 << at[half]
+            row.append(mask)
+        made.append(tuple(row))
+    partners = tuple(sum(1 << j for j, mask in enumerate(row) if mask) for row in made)
+    negation = tuple(at[tuple(-x for x in v)] for v in vectors)
+    index = {alpha: k for k, alpha in enumerate(roots)}
+    return RootKernel(roots, index, tuple(made), partners, negation)
+
+
+def close_mask(kernel: RootKernel, mask: int, closed: int = 0) -> int:
+    """Pairwise fixpoint of closed ∪ mask, where `closed` is already a fixpoint.
+
+    Each root, when it joins, is combined with every root already in; so
+    every pair of members is combined once.
+    """
+    made, partners = kernel.made, kernel.partners
+    todo = mask & ~closed
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        closed |= low
+        i = low.bit_length() - 1
+        row = made[i]
+        hits = closed & partners[i]
+        while hits:
+            bit = hits & -hits
+            hits ^= bit
+            todo |= row[bit.bit_length() - 1]
+        todo &= ~closed
+    return closed
+
+
+def _check_indices(roots: Iterable[Root], n: int) -> None:
+    for alpha in roots:
+        if alpha.max_index > n:
+            raise IndexError(f"root {alpha} does not fit in dimension {n}")
 
 
 def cone_contains(gamma: Root, s: Iterable[Root], n: Optional[int] = None) -> bool:
@@ -35,17 +134,30 @@ def cone_contains(gamma: Root, s: Iterable[Root], n: Optional[int] = None) -> bo
     return nonneg_combination(vectors, gamma.vector(n)) is not None
 
 
-def plc(s: Iterable[Root], n: int) -> frozenset[Root]:
-    """Positive linear closure of s inside B_n: {γ ∈ B_n : γ ∈ cone(s)}."""
+def lp_closure(s: Iterable[Root], n: int) -> frozenset[Root]:
+    """{γ ∈ B_n : γ ∈ cone(s)} by one exact LP per root: the definition of plc."""
     s = frozenset(s)
-    for alpha in s:
-        if alpha.max_index > n:
-            raise IndexError(f"root {alpha} does not fit in dimension {n}")
-    out = set(s)
-    for gamma in all_roots(n):
-        if gamma not in out and cone_contains(gamma, s, n):
-            out.add(gamma)
-    return frozenset(out)
+    _check_indices(s, n)
+    return s | frozenset(
+        gamma for gamma in all_roots(n) if gamma not in s and cone_contains(gamma, s, n)
+    )
+
+
+def plc(s: Iterable[Root], n: int) -> frozenset[Root]:
+    """Positive linear closure of s inside B_n: {γ ∈ B_n : γ ∈ cone(s)}.
+
+    >>> from .roots import parse_root as r
+    >>> sorted(a.token() for a in plc([r("-1+2"), r("+1+2")], 2))
+    ['+1+2', '+2', '-1+2']
+    """
+    s = frozenset(s)
+    _check_indices(s, n)
+    kernel = root_kernel(n)
+    closed = close_mask(kernel, kernel.mask(s))
+    if not kernel.clash(closed):
+        return kernel.members(closed)
+    # Not a signed poset: the pairwise rule is not known to reach cone(s).
+    return lp_closure(s, n)
 
 
 @dataclass(frozen=True)
@@ -88,45 +200,48 @@ class SignedPoset:
 
 def is_closed(p: SignedPoset) -> bool:
     """Does plc fix the root set?  (Definitional check, LP-backed.)"""
-    return plc(p.roots, p.n) == p.roots
+    return lp_closure(p.roots, p.n) == p.roots
 
 
 def from_generators(n: int, generators: Iterable[Root]) -> SignedPoset:
     """Close the generators and validate asymmetry of the closure.
 
-    Raises AsymmetryViolation when the closure contains some ±α pair — the
-    generators then span no signed poset.  Asymmetry is checked *after*
-    closing, since closing can surface new contradictions.
+    Raises AsymmetryViolation, naming the smallest offending root, when the
+    closure contains some ±α pair — the generators then span no signed
+    poset.  The pairwise fixpoint lies inside plc, so a pair found there is
+    in plc too.
     """
-    closure = plc(generators, n)
-    for alpha in closure:
-        if -alpha in closure:
-            raise AsymmetryViolation(alpha)
-    return SignedPoset(n, closure)
+    generators = frozenset(generators)
+    _check_indices(generators, n)
+    kernel = root_kernel(n)
+    closed = close_mask(kernel, kernel.mask(generators))
+    clash = kernel.clash(closed)
+    if clash:
+        raise AsymmetryViolation(kernel.roots[(clash & -clash).bit_length() - 1])
+    return SignedPoset(n, kernel.members(closed))
 
 
 def minimal_representation(p: SignedPoset) -> frozenset[Root]:
     """The unique minimal subset M ⊆ P with plc(M) = P.
 
-    M consists of the roots that are not nonnegative combinations of the
-    others.  That plc(M) = P again is guaranteed by the theory; it is
-    re-verified here and a failure raises InternalInconsistency.
+    M = {α ∈ P : α ∉ closure(P ∖ α)}, the roots that are not nonnegative
+    combinations of the others.  That the closure of M is P again is
+    guaranteed by the theory; it is re-verified here and a failure raises
+    InternalInconsistency.
     """
-    roots = p.sorted_roots()
-    m = frozenset(
-        alpha
-        for alpha in roots
-        if not cone_contains(alpha, [b for b in roots if b != alpha], p.n)
-    )
-    # plc(M) ⊆ P holds automatically (M ⊆ P and P is closed), so the
-    # postcondition reduces to P ∖ M ⊆ cone(M).
-    m_list = sorted(m)
-    for alpha in roots:
-        if alpha not in m and not cone_contains(alpha, m_list, p.n):
-            raise InternalInconsistency(
-                f"minimal representation of {p!r} does not regenerate {alpha}"
-            )
-    return m
+    kernel = root_kernel(p.n)
+    full = kernel.mask(p.roots)
+    m = 0
+    for k in _bits(full):
+        if not close_mask(kernel, full ^ (1 << k)) >> k & 1:
+            m |= 1 << k
+    regenerated = kernel.members(close_mask(kernel, m))
+    if regenerated != p.roots:
+        raise InternalInconsistency(
+            f"minimal representation of {p!r} closes to "
+            f"{{{' '.join(a.token() for a in sorted(regenerated))}}}"
+        )
+    return kernel.members(m)
 
 
 def embed_classical_poset(

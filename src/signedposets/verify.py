@@ -37,7 +37,6 @@ from .ehrhart import (
     is_unimodal,
     reciprocity_check,
 )
-from .errors import SignedPosetError
 from .geometry import (
     homogenized_poset,
     interior_point,
@@ -67,7 +66,13 @@ from .jordan import (
     naturalize,
 )
 from .perms import act_poset, enumerate_signed_permutations
-from .posets import SignedPoset, cone_contains, minimal_representation, plc, to_bidirected_graph
+from .posets import (
+    SignedPoset,
+    cone_contains,
+    is_closed,
+    minimal_representation,
+    to_bidirected_graph,
+)
 
 
 @dataclass(frozen=True)
@@ -117,14 +122,20 @@ def _lattice_points(system: HalfspaceSystem, t: int) -> list[tuple[int, ...]]:
 
 
 def check_minimal_representation(p: SignedPoset, t_max: int = 3) -> CheckResult:
+    """The bitmask kernel's M against the LP.
+
+    P is LP-closed (no root outside P lies in cone(P)), no m ∈ M lies in
+    cone(M ∖ m), and P ∖ M ⊆ cone(M): together, plc(M) = P with M minimal.
+    """
     m = minimal_representation(p)
-    regenerated = plc(m, p.n) == p.roots
+    closed = is_closed(p)
     irredundant = all(not cone_contains(alpha, m - {alpha}, p.n) for alpha in m)
+    regenerated = all(cone_contains(alpha, m, p.n) for alpha in p.roots - m)
     graph = to_bidirected_graph(p)
     marked = sum(1 for e in graph.edges if e.minimal)
     return CheckResult(
         "minimal-representation",
-        regenerated and irredundant and marked == len(m),
+        closed and regenerated and irredundant and marked == len(m),
         {"poset_size": len(p.roots), "minrep_size": len(m)},
     )
 
@@ -370,11 +381,12 @@ ALL_CHECKS: tuple[tuple[str, Callable[[SignedPoset, int], CheckResult]], ...] = 
 
 
 def verify_poset(p: SignedPoset, t_max: int = 3) -> PosetReport:
+    """Run every check; one that raises, whatever the exception, fails."""
     results = []
     for name, fn in ALL_CHECKS:
         try:
             results.append(fn(p, t_max))
-        except SignedPosetError as exc:
+        except Exception as exc:
             results.append(
                 CheckResult(name, False, {"exception": type(exc).__name__, "message": str(exc)})
             )
@@ -517,17 +529,22 @@ def verify_catalog(
     start = time.monotonic()
     passes: Counter = Counter()
     failures: list[tuple[tuple[str, ...], str, dict]] = []
-    total = 0
-    for p in iter_signed_posets(n, force=force):
-        total += 1
+    posets = list(iter_signed_posets(n, force=force))
+    total = len(posets)
+    sweep_start = time.monotonic()
+    for done, p in enumerate(posets, 1):
         report = verify_poset(p, t_max)
         for c in report.checks:
             if c.passed:
                 passes[c.name] += 1
             elif len(failures) < 25:
                 failures.append((report.tokens, c.name, c.detail))
-        if log and total % 500 == 0:
-            log(f"verified {total} posets on [{n}] ...")
+        if log and (done % 100 == 0 or done == total):
+            rate = done / max(time.monotonic() - sweep_start, 1e-9)
+            log(
+                f"verified {done}/{total} posets on [{n}] "
+                f"({rate:.1f}/s, ETA {(total - done) / rate:.0f} s)"
+            )
 
     extras: dict = {}
     if n <= 2:

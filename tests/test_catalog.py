@@ -1,9 +1,10 @@
 """Exhaustive enumeration of signed posets at small rank."""
 
+from itertools import product
+
 import pytest
 
 from signedposets.catalog import (
-    _iter_by_growing,
     canonical_form,
     census,
     enumerate_signed_posets,
@@ -11,7 +12,24 @@ from signedposets.catalog import (
     naturally_labeled_count,
 )
 from signedposets.perms import act_poset, enumerate_signed_permutations
-from signedposets.posets import is_closed
+from signedposets.posets import SignedPoset, is_closed
+from signedposets.roots import Root
+
+
+def walk_pairs(n):
+    """The antipodal pairs in the order of the assignment walk: ±e_a, then
+    ±(e_a+e_b) and ±(e_a−e_b) for each b > a."""
+    pairs = []
+    for a in range(1, n + 1):
+        pairs.append((Root.unit(a, 1), Root.unit(a, -1)))
+        for b in range(a + 1, n + 1):
+            pairs.append((Root.pair(a, 1, b, 1), Root.pair(a, -1, b, -1)))
+            pairs.append((Root.pair(a, 1, b, -1), Root.pair(a, -1, b, 1)))
+    return pairs
+
+
+def walk_key(p, pairs):
+    return tuple(1 if pos in p.roots else 2 if neg in p.roots else 0 for pos, neg in pairs)
 
 
 def test_census_n1():
@@ -37,12 +55,34 @@ def test_everything_enumerated_is_closed():
         assert is_closed(p)
 
 
-def test_product_walk_agrees_with_bfs_growth():
-    # two independent enumerations: filtering the subset lattice vs growing
-    # closures one generator at a time
-    direct = {frozenset(p.roots) for p in iter_signed_posets(2)}
-    grown = {frozenset(p.roots) for p in _iter_by_growing(2)}
-    assert direct == grown
+def test_enumerator_equals_lp_filter_of_all_assignments():
+    # every one of the 3^(n²) asymmetric assignments, in walk order, kept
+    # when the LP finds it closed
+    for n in (1, 2):
+        pairs = walk_pairs(n)
+        lp_filtered = []
+        for choice in product((0, 1, 2), repeat=len(pairs)):
+            roots = frozenset(pair[c - 1] for c, pair in zip(choice, pairs) if c)
+            p = SignedPoset(n, roots)
+            if is_closed(p):
+                lp_filtered.append(p)
+        assert list(iter_signed_posets(n)) == lp_filtered
+
+
+def test_n3_catalog_is_in_walk_order():
+    pairs = walk_pairs(3)
+    keys = [walk_key(p, pairs) for p in iter_signed_posets(3)]
+    assert len(keys) == 941
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_n3_catalog_is_lp_closed():
+    assert all(is_closed(p) for p in iter_signed_posets(3))
+
+
+def test_n4_total():
+    # every one of these sets was confirmed LP-closed once, in a separate run
+    assert len(enumerate_signed_posets(4, force=True)) == 60201
 
 
 def test_canonical_form_constant_on_orbits():

@@ -1,8 +1,9 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
-from signedposets.catalog import enumerate_signed_posets
+from signedposets.catalog import enumerate_signed_posets, iter_signed_posets
 from signedposets.chains import (
     SignedChain,
     antichains,
@@ -13,8 +14,9 @@ from signedposets.chains import (
     verify_antichain_characterization,
 )
 from signedposets.ehrhart import count_points, ehrhart_polynomial, hstar_from_counts
-from signedposets.geometry import order_polytope
+from signedposets.geometry import cube_vertices, order_polytope
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
+from signedposets.linalg import rank, solve_square
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
 
@@ -144,3 +146,26 @@ def test_shifted_interior_counts():
         system = chain_polytope(mk(2, tokens))
         for t in range(3):
             assert count_points(system, t + 1, strict=True) == count_points(system, t)
+
+
+def brute_force_vertices(system):
+    """Vertices of a bounded system: feasible solutions of full-rank n-row
+    subsets.  Exponential in the row count; the oracle for `cube_vertices`."""
+    found = set()
+    for subset in combinations(system.rows, system.n):
+        mat = [row.a for row in subset]
+        if rank(mat) != system.n:
+            continue
+        point = solve_square(mat, [row.b for row in subset])
+        if point is not None and system.contains(point):
+            found.add(point)
+    return found
+
+
+def test_chain_vertices_are_cube_points_with_full_rank():
+    sample = [p for n in (1, 2) for p in iter_signed_posets(n)]
+    sample.append(mk(2, ["-1+2", "+1+2"]))
+    sample += random.Random("chain-vertices").sample(list(iter_signed_posets(3)), 40)
+    for p in sample:
+        system = chain_polytope(p)
+        assert set(cube_vertices(system)) == brute_force_vertices(system), p

@@ -157,12 +157,35 @@ def test_compare(capsys, fig1):
     assert "different" in err
 
 
+def test_compare_finishes_at_rank_4(capsys, tmp_path):
+    path = tmp_path / "chain4.poset"
+    path.write_text("n = 4\nroots: -1+2 -2+3 -3+4 +1\n")
+    code, out, _ = run(capsys, ["compare", str(path)])
+    assert code == 0
+    assert report_of(out)["results"]["chain_vertex_count"] >= 5
+
+
 def test_verify_single_file(capsys, fig1):
     code, out, err = run(capsys, ["verify", fig1])
     rep = report_of(out)
     assert code == 0
     assert rep["verification"]["passed"] is True
     assert err.count("ok  ") == len(rep["results"]["checks"])
+
+
+def test_check_that_raises_fails_verify(capsys, fig1, monkeypatch):
+    from signedposets import verify
+
+    def broken(p, t_max=3):
+        raise ValueError("viewpoint is not generic")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", verify.ALL_CHECKS[:-1] + (("homogenization", broken),))
+    code, out, err = run(capsys, ["verify", fig1])
+    assert code == 1
+    rep = report_of(out)
+    assert rep["verification"]["passed"] is False
+    assert rep["results"]["checks"][-1]["detail"]["exception"] == "ValueError"
+    assert "FAIL homogenization" in err
 
 
 def test_verify_catalog(capsys):

@@ -1,6 +1,8 @@
 """Positive-linear-closure semantics, cross-checked against a Caratheodory
-oracle that is independent of the simplex code path."""
+oracle that is independent of the simplex code path, and the bitmask closure
+kernel cross-checked against the LP."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,17 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedposets.catalog import enumerate_signed_posets
+from signedposets.catalog import enumerate_signed_posets, iter_signed_posets
 from signedposets.errors import AsymmetryViolation
+from signedposets.geometry import homogenized_poset
 from signedposets.posets import (
     SignedPoset,
     classical_relations,
+    close_mask,
     cone_contains,
     embed_classical_poset,
     from_generators,
     is_closed,
+    lp_closure,
     minimal_representation,
     plc,
+    root_kernel,
     to_bidirected_graph,
 )
 from signedposets.roots import Root, all_roots, antipodal_pairs, parse_root
@@ -124,8 +130,10 @@ def test_from_generators_rejects_contradictions():
     with pytest.raises(AsymmetryViolation):
         mk(2, ["+1", "-1"])
     # contradiction only surfaces after closing: e2 = e1 + (-e1+e2)
-    with pytest.raises(AsymmetryViolation):
+    with pytest.raises(AsymmetryViolation) as caught:
         mk(2, ["+1", "-1+2", "-2"])
+    # -e1 = (-e1+e2) + (-e2) is the smallest root whose negative is also in
+    assert caught.value.root == parse_root("-1")
 
 
 def test_direct_construction_checks_asymmetry_and_bounds():
@@ -172,3 +180,56 @@ def test_bidirected_graph_shape():
     graph = to_bidirected_graph(p)
     assert graph.n == 2
     assert len(graph.edges) == len(p.roots)
+
+
+def lp_minimal_representation(p):
+    """The definition: the roots of P outside the cone of the others."""
+    return {a for a in p.roots if not cone_contains(a, p.roots - {a}, p.n)}
+
+
+def test_minimal_representation_matches_lp_definition_n3():
+    for p in iter_signed_posets(3):
+        assert minimal_representation(p) == lp_minimal_representation(p)
+
+
+@pytest.mark.parametrize("n, count", [(4, 200), (5, 100)])
+def test_kernel_plc_matches_lp_loop(n, count):
+    rng = random.Random(f"kernel-plc:{n}")
+    kernel = root_kernel(n)
+    roots = all_roots(n)
+    asymmetric = 0
+    for _ in range(count):
+        gens = rng.sample(roots, rng.randint(1, n))
+        fixpoint = close_mask(kernel, kernel.mask(gens))
+        lp = lp_closure(gens, n)
+        # the pairwise fixpoint never leaves the cone ...
+        assert kernel.members(fixpoint) <= lp
+        # ... and reaches all of it whenever it is a signed poset
+        if not kernel.clash(fixpoint):
+            asymmetric += 1
+            assert kernel.members(fixpoint) == lp
+        assert plc(gens, n) == lp
+    assert asymmetric >= count // 4
+
+
+def test_homogenized_poset_matches_lp_route():
+    catalog = list(iter_signed_posets(3))
+    for p in random.Random("homogenize").sample(catalog, 30):
+        gens = set(p.roots)
+        for i in range(1, 4):
+            gens |= {Root.pair(i, 1, 4, 1), Root.pair(i, -1, 4, 1)}
+        assert homogenized_poset(p).roots == lp_closure(gens, 4)
+
+
+def test_pair_table_is_sum_and_half_sum():
+    kernel = root_kernel(3)
+    vectors = [a.vector(3) for a in kernel.roots]
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            made = {kernel.roots[k].vector(3) for k in range(len(vectors)) if kernel.made[i][j] >> k & 1}
+            total = tuple(x + y for x, y in zip(a, b))
+            expected = {total} & set(vectors)
+            if i != j and all(v % 2 == 0 for v in total):
+                expected |= {tuple(v // 2 for v in total)} & set(vectors)
+            assert made == expected
+            assert bool(kernel.partners[i] >> j & 1) == bool(made)

@@ -1,5 +1,8 @@
 """The cross-oracle verification layer itself."""
 
+import re
+
+from signedposets import verify
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
 from signedposets.verify import (
@@ -97,3 +100,26 @@ def test_verify_reports_exceptions_as_failures():
     assert not report.passed
     names = {c.name for c in report.failures()}
     assert "gorenstein-triple" in names or "fischer-halfspaces" in names
+
+
+def test_check_that_raises_becomes_a_failed_check(monkeypatch):
+    def broken(p, t_max=3):
+        raise ValueError("viewpoint is not generic")
+
+    checks = list(ALL_CHECKS)
+    checks[7] = ("triangulation", broken)
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(checks))
+    report = verify.verify_poset(mk(2, ["-1+2", "+1+2"]))
+    assert not report.passed
+    assert [c.name for c in report.failures()] == ["triangulation"]
+    detail = report.to_json_dict()["checks"][7]["detail"]
+    assert detail == {"exception": "ValueError", "message": "viewpoint is not generic"}
+
+
+def test_verify_catalog_logs_progress():
+    lines = []
+    report = verify_catalog(2, log=lines.append)
+    assert report.poset_count == 33
+    # fewer than 100 posets: only the closing line
+    assert len(lines) == 1
+    assert re.fullmatch(r"verified 33/33 posets on \[2\] \(\d+\.\d/s, ETA 0 s\)", lines[0])

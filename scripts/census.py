@@ -3,7 +3,7 @@
 
 Enumerates every signed poset on [n], tallies sizes, isomorphism classes,
 natural labelings, and Gorenstein order polytopes, and prints one table per
-rank.  n = 3 takes a couple of minutes because of the Gorenstein column.
+rank.  n = 3 takes about a second.
 
     python3 scripts/census.py --max-n 2
     python3 scripts/census.py --max-n 3 --json out.json
@@ -14,71 +14,42 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 sys.path.insert(0, "src")
 
-from signedposets.catalog import canonical_form, iter_signed_posets, naturally_labeled_count
+from signedposets.catalog import census, iter_signed_posets, naturally_labeled_count
 from signedposets.gorenstein import is_gorenstein
 from signedposets.jordan import jordan_holder
 
 
-@dataclass
-class CensusConfig:
-    max_n: int = 2
-    force: bool = False
-    gorenstein: bool = True
-    json_path: str | None = None
-
-
-@dataclass
-class RankCensus:
-    n: int
-    total: int = 0
-    by_size: Counter = field(default_factory=Counter)
-    classes: set = field(default_factory=set)
-    natural: int = 0
-    gorenstein: int = 0
-    jh_sizes: Counter = field(default_factory=Counter)
-    elapsed: float = 0.0
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "total": self.total,
-            "by_size": {str(k): v for k, v in sorted(self.by_size.items())},
-            "isomorphism_classes": len(self.classes),
-            "naturally_labeled": self.natural,
-            "gorenstein": self.gorenstein,
-            "jh_size_histogram": {str(k): v for k, v in sorted(self.jh_sizes.items())},
-            "elapsed_s": round(self.elapsed, 2),
-        }
-
-
-def census_rank(n: int, config: CensusConfig) -> RankCensus:
-    out = RankCensus(n)
+def census_rank(n: int, force: bool, gorenstein: bool) -> dict:
+    """`catalog.census(n)` plus natural labelings, Gorenstein count (None when
+    skipped) and the |JH| histogram."""
     start = time.monotonic()
-    for p in iter_signed_posets(n, force=config.force):
-        out.total += 1
-        out.by_size[len(p.roots)] += 1
-        out.classes.add(canonical_form(p))
-        out.jh_sizes[len(jordan_holder(p))] += 1
-        if config.gorenstein and is_gorenstein(p):
-            out.gorenstein += 1
-    out.natural = naturally_labeled_count(n, force=config.force)
-    out.elapsed = time.monotonic() - start
-    return out
+    table = census(n, force=force)
+    jh_sizes: Counter = Counter()
+    hits = 0 if gorenstein else None
+    for p in iter_signed_posets(n, force=force):
+        jh_sizes[len(jordan_holder(p))] += 1
+        if gorenstein and is_gorenstein(p):
+            hits += 1
+    table["naturally_labeled"] = naturally_labeled_count(n, force=force)
+    table["gorenstein"] = hits
+    table["jh_size_histogram"] = {str(k): v for k, v in sorted(jh_sizes.items())}
+    table["elapsed_s"] = round(time.monotonic() - start, 2)
+    return table
 
 
-def print_rank(c: RankCensus) -> None:
-    print(f"\nn = {c.n}  ({c.elapsed:.1f}s)")
-    print(f"  signed posets          {c.total}")
-    print(f"  isomorphism classes    {len(c.classes)}")
-    print(f"  naturally labeled      {c.natural}")
-    print(f"  Gorenstein O_P         {c.gorenstein}")
-    sizes = "  ".join(f"{k}:{v}" for k, v in sorted(c.by_size.items()))
+def print_rank(c: dict) -> None:
+    print(f"\nn = {c['n']}  ({c['elapsed_s']:.1f}s)")
+    print(f"  signed posets          {c['total']}")
+    print(f"  isomorphism classes    {c['isomorphism_classes']}")
+    print(f"  naturally labeled      {c['naturally_labeled']}")
+    gorenstein = "skipped" if c["gorenstein"] is None else c["gorenstein"]
+    print(f"  Gorenstein O_P         {gorenstein}")
+    sizes = "  ".join(f"{k}:{v}" for k, v in c["by_size"].items())
     print(f"  posets by |P|          {sizes}")
-    jh = "  ".join(f"{k}:{v}" for k, v in sorted(c.jh_sizes.items()))
+    jh = "  ".join(f"{k}:{v}" for k, v in c["jh_size_histogram"].items())
     print(f"  posets by |JH|         {jh}")
 
 
@@ -87,23 +58,21 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=2)
     parser.add_argument("--force", action="store_true", help="allow n >= 4")
     parser.add_argument("--no-gorenstein", action="store_true",
-                        help="skip the (slow) Gorenstein column")
+                        help="skip the Gorenstein column")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="also dump the tables to this JSON file")
     args = parser.parse_args()
-    config = CensusConfig(args.max_n, args.force, not args.no_gorenstein,
-                          args.json_path)
 
     tables = []
-    for n in range(1, config.max_n + 1):
-        c = census_rank(n, config)
+    for n in range(1, args.max_n + 1):
+        c = census_rank(n, args.force, not args.no_gorenstein)
         print_rank(c)
-        tables.append(c.to_json_dict())
+        tables.append(c)
 
-    if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as handle:
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump({"schema": 1, "census": tables}, handle, indent=2)
-        print(f"\nwrote {config.json_path}")
+        print(f"\nwrote {args.json_path}")
     return 0
 
 

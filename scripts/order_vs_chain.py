@@ -23,13 +23,6 @@ from signedposets.posets import SignedPoset
 
 
 @dataclass
-class SweepConfig:
-    n: int = 2
-    force: bool = False
-    top: int = 5
-
-
-@dataclass
 class Row:
     poset: SignedPoset
     report: dict
@@ -48,12 +41,11 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=5,
                         help="how many extreme witnesses to print")
     args = parser.parse_args()
-    config = SweepConfig(args.n, args.force, args.top)
 
     rows = []
     equal = 0
     equal_with_unit = 0
-    for p in iter_signed_posets(config.n, force=config.force):
+    for p in iter_signed_posets(args.n, force=args.force):
         report = compare_order_chain(p)
         rows.append(Row(p, report))
         if report["ehrhart_equal"]:
@@ -62,13 +54,13 @@ def main() -> int:
                 equal_with_unit += 1
 
     total = len(rows)
-    print(f"n = {config.n}: {total} signed posets")
+    print(f"n = {args.n}: {total} signed posets")
     print(f"  ehr(O_P) == ehr(C_P) for {equal} ({equal - equal_with_unit} without unit roots)")
     print(f"  different for {total - equal}")
 
     rows.sort(key=lambda r: r.gap, reverse=True)
     print(f"\nlargest volume gaps (chain minus order, leading coefficient):")
-    for row in rows[: config.top]:
+    for row in rows[: args.top]:
         tokens = " ".join(row.poset.tokens()) or "(empty)"
         print(
             f"  {str(row.gap):>6}  {tokens:<28}"

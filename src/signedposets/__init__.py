@@ -30,6 +30,7 @@ from .ehrhart import (
 from .errors import (
     AsymmetryViolation,
     CycleDetected,
+    InputError,
     InternalInconsistency,
     NegativeHstar,
     NonIntegralHstar,
@@ -85,6 +86,7 @@ __all__ = [
     "CycleDetected",
     "Halfspace",
     "HalfspaceSystem",
+    "InputError",
     "InternalInconsistency",
     "NegativeHstar",
     "NonIntegralHstar",

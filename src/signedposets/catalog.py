@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .errors import InputError
 from .perms import act, enumerate_signed_permutations
 from .posets import RootKernel, SignedPoset, close_mask, root_kernel
 from .roots import Root
@@ -56,17 +57,19 @@ def _walk_order(n: int, kernel: RootKernel):
 
 
 def iter_signed_posets(n: int, force: bool = False) -> Iterator[SignedPoset]:
-    """Yield every signed poset on [n], in the order of the assignment walk.
+    """Every signed poset on [n], in the order of the assignment walk.
 
-    Raises ValueError for n ≥ 4 unless ``force`` is set.
+    Raises InputError at once for n < 1, and for n ≥ 4 unless ``force`` is set.
     """
+    if n < 1:
+        raise InputError("ground size must be positive")
     if n >= 4 and not force:
-        raise ValueError(
+        raise InputError(
             f"the catalog at n={n} is large (60,201 posets at n=4); pass force=True"
         )
     kernel = root_kernel(n)
-    for mask in sorted(_closed_masks(kernel), key=_walk_order(n, kernel)):
-        yield SignedPoset(n, kernel.members(mask))
+    masks = sorted(_closed_masks(kernel), key=_walk_order(n, kernel))
+    return (SignedPoset(n, kernel.members(mask)) for mask in masks)
 
 
 def _group_root_permutations(n: int) -> list[tuple[int, ...]]:
@@ -107,16 +110,12 @@ def enumerate_signed_posets(
     With ``up_to_iso`` each isomorphism class appears once, represented by
     its canonical form.
     """
+    posets = iter_signed_posets(n, force=force)
     if up_to_iso:
         kernel = root_kernel(n)
         perms = _group_root_permutations(n)
-        reps = {
-            canonical_mask(kernel.mask(p.roots), perms)
-            for p in iter_signed_posets(n, force=force)
-        }
-        posets = [SignedPoset(n, kernel.members(mask)) for mask in sorted(reps)]
-    else:
-        posets = list(iter_signed_posets(n, force=force))
+        reps = {canonical_mask(kernel.mask(p.roots), perms) for p in posets}
+        posets = (SignedPoset(n, kernel.members(mask)) for mask in sorted(reps))
     return sorted(posets, key=lambda p: (len(p.roots), p.sorted_roots()))
 
 

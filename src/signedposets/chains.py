@@ -13,19 +13,12 @@ without changing the polytope's defining rows in any example we know).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
-from .ehrhart import (
-    count_points,
-    ehrhart_polynomial,
-    gorenstein_index_by_counts,
-    poly_to_json,
-)
-from .errors import OracleMismatch
+from .ehrhart import count_points, ehrhart_polynomial, poly_to_json
 from .geometry import cube_vertices, order_polytope, signed_filters, vertices
 from .halfspaces import Halfspace, HalfspaceSystem, dedupe_rows
 from .posets import SignedPoset
@@ -164,8 +157,11 @@ def verify_antichain_characterization(p: SignedPoset) -> dict:
     }
 
 
-def is_reflexive(system: HalfspaceSystem, cross_check: bool = False) -> bool:
-    """Every row, normalized to ⟨a, x⟩ ≤ b with gcd(a) = 1, must have b = 1."""
+def is_reflexive(system: HalfspaceSystem) -> bool:
+    """Every row, normalized to ⟨a, x⟩ ≤ b with gcd(a) = 1, must have b = 1.
+
+    `verify.check_chain_polytope` cross-checks this by counting points.
+    """
     for row in system.rows:
         # ⟨a, x⟩ ≥ b  ⟺  ⟨−a, x⟩ ≤ −b
         g = gcd(*(abs(c) for c in row.a))
@@ -173,13 +169,6 @@ def is_reflexive(system: HalfspaceSystem, cross_check: bool = False) -> bool:
             continue
         if (-row.b) % g != 0 or (-row.b) // g != 1:
             return False
-    if cross_check:
-        index = gorenstein_index_by_counts(system)
-        if index != 1:
-            raise OracleMismatch(
-                "row-normalized reflexivity disagrees with counting index",
-                {"index": index},
-            )
     return True
 
 
@@ -205,6 +194,3 @@ def compare_order_chain(p: SignedPoset) -> dict:
         report["order_interior_points_t1"] = count_points(o_system, 1, strict=True)
     return report
 
-
-def chains_to_json(chains: Sequence[SignedChain]) -> str:
-    return json.dumps([c.to_json_dict() for c in chains])

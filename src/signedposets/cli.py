@@ -1,10 +1,19 @@
 """Command-line front end.
 
-Reports are JSON on stdout (one object, ``"schema": 1``; compact unless
---json asks for indentation) with a human summary on stderr.  Two commands
-differ: ``enumerate`` streams one JSON object per poset, and ``export-dot``
-without --dot prints the raw DOT text.  Exit codes:
-0 ok, 1 verification failure, 2 input error, 3 internal inconsistency.
+COMMANDS is the one table that both builds the parser and dispatches.  Each
+command is ``cmd_x(args, doc, p) -> (results, verification, summary)``;
+`run` reads and closes the poset file, times the command, and prints the
+report as JSON on stdout (one object, ``"schema": 1``; compact unless --json
+asks for indentation) and the summary on stderr.  ``verify --n`` reports on
+a whole catalog, with input ``{"n": n}``.  ``enumerate`` (JSON lines) and
+``export-dot`` without --dot (raw DOT) print their own output and return no
+results; their summary carries the elapsed time.
+
+Exit codes, decided in `main` alone: 0 ok; 1 a verification field is false,
+or two oracles disagree; 2 bad input (an unreadable or non-UTF-8 file, a
+parse error, asymmetric generators, a bad argument, or n ≥ 4 without
+--force); 3 anything else, an internal inconsistency, reported without a
+traceback.
 """
 
 from __future__ import annotations
@@ -31,16 +40,7 @@ from .ehrhart import (
     poly_to_json,
     reciprocity_check,
 )
-from .errors import (
-    AsymmetryViolation,
-    CycleDetected,
-    InternalInconsistency,
-    NegativeHstar,
-    NonIntegralHstar,
-    OracleMismatch,
-    ParseError,
-    UnboundedSystem,
-)
+from .errors import InputError, OracleMismatch
 from .geometry import (
     order_polytope,
     order_polytope_irredundant,
@@ -51,8 +51,8 @@ from .geometry import (
 )
 from .gorenstein import check_fischer_symmetry, fischer_representation, hasse_dot, is_graded
 from .jordan import is_naturally_labeled, jh_representative, jordan_holder, natdes
-from .posetfile import PosetDocument, parse_poset
-from .posets import SignedPoset, minimal_representation, to_bidirected_graph, bidirected_dot
+from .posetfile import parse_poset
+from .posets import minimal_representation, to_bidirected_graph, bidirected_dot
 from .verify import (
     check_fischer_halfspaces,
     check_gorenstein_triple,
@@ -61,77 +61,38 @@ from .verify import (
     verify_poset,
 )
 
-_INTERNAL = (InternalInconsistency, CycleDetected, NonIntegralHstar, NegativeHstar, UnboundedSystem)
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
-def _load(args) -> tuple[PosetDocument, SignedPoset]:
-    with open(args.posetfile, encoding="utf-8") as handle:
-        doc = parse_poset(handle.read())
-    return doc, doc.to_poset()
-
-
-def _emit(args, command: str, input_echo: dict, results: dict,
-          verification: dict, started: float, summary: str) -> int:
-    report = {
-        "schema": 1,
-        "command": command,
-        "input": input_echo,
-        "results": results,
-        "verification": verification,
-        "timing_ms": int((time.monotonic() - started) * 1000),
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    if summary:
-        print(summary, file=sys.stderr)
-    failed = [k for k, v in verification.items() if v is False]
-    return 1 if failed else 0
-
-
-def _echo(args, doc: PosetDocument) -> dict:
-    return {"path": args.posetfile, "document": doc.to_json_dict()}
-
-
-def cmd_validate(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
-    closed_input = frozenset(doc.generators) == p.roots
+def cmd_validate(args, doc, p):
     results = {
         "n": p.n,
         "generators": [a.token() for a in doc.generators],
         "closure": p.tokens(),
         "size": len(p.roots),
-        "generators_already_closed": closed_input,
+        "generators_already_closed": frozenset(doc.generators) == p.roots,
     }
-    verification = {"asymmetric": True, "closed": True}
-    return _emit(args, "validate", _echo(args, doc), results, verification, started,
-                 f"valid signed poset on [{p.n}] with {len(p.roots)} roots")
+    return (results, {"asymmetric": True, "closed": True},
+            f"valid signed poset on [{p.n}] with {len(p.roots)} roots")
 
 
-def cmd_closure(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_closure(args, doc, p):
     added = sorted(p.roots - frozenset(doc.generators))
     results = {"closure": p.tokens(), "added": [a.token() for a in added]}
-    return _emit(args, "closure", _echo(args, doc), results, {}, started,
-                 f"closure has {len(p.roots)} roots ({len(added)} beyond the generators)")
+    return results, {}, f"closure has {len(p.roots)} roots ({len(added)} beyond the generators)"
 
 
-def cmd_minrep(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_minrep(args, doc, p):
     m = minimal_representation(p)
     results = {"minimal": sorted(a.token() for a in m), "size": len(m)}
-    return _emit(args, "minrep", _echo(args, doc), results,
-                 {"regenerates": True}, started,
-                 f"minimal representation has {len(m)} of {len(p.roots)} roots")
+    return (results, {"regenerates": True},
+            f"minimal representation has {len(m)} of {len(p.roots)} roots")
 
 
-def cmd_hdesc(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_hdesc(args, doc, p):
     full = order_polytope(p)
     irr = order_polytope_irredundant(p)
     pmax, nmax = pos_neg_max(p)
@@ -142,35 +103,26 @@ def cmd_hdesc(args) -> int:
         "pmax": sorted(pmax),
         "nmax": sorted(nmax),
     }
-    return _emit(args, "hdesc", _echo(args, doc), results,
-                 {"irredundant_rows_all_necessary": necessary}, started,
-                 f"{len(full.rows)} rows total, {len(irr.rows)} after pruning")
+    return (results, {"irredundant_rows_all_necessary": necessary},
+            f"{len(full.rows)} rows total, {len(irr.rows)} after pruning")
 
 
-def cmd_filters(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_filters(args, doc, p):
     f = signed_filters(p)
     results = {"filters": [list(x) for x in f], "count": len(f)}
-    return _emit(args, "filters", _echo(args, doc), results,
-                 {"matches_lattice_count": len(f) == count_points(order_polytope(p), 1)},
-                 started, f"{len(f)} signed filters")
+    return (results, {"matches_lattice_count": len(f) == count_points(order_polytope(p), 1)},
+            f"{len(f)} signed filters")
 
 
-def cmd_vertices(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_vertices(args, doc, p):
     v = vertices(p)
     filter_set = set(signed_filters(p))
     results = {"vertices": [list(x) for x in v], "count": len(v)}
-    return _emit(args, "vertices", _echo(args, doc), results,
-                 {"vertices_are_filters": set(v) <= filter_set}, started,
-                 f"{len(v)} vertices among {len(filter_set)} filters")
+    return (results, {"vertices_are_filters": set(v) <= filter_set},
+            f"{len(v)} vertices among {len(filter_set)} filters")
 
 
-def cmd_jh(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_jh(args, doc, p):
     jh = jordan_holder(p)
     results = {
         "jh": [list(w.images) for w in jh],
@@ -180,28 +132,22 @@ def cmd_jh(args) -> int:
         "descents": {str(i): sum(1 for w in jh if natdes(w).natdes == i)
                      for i in sorted({natdes(w).natdes for w in jh})},
     }
-    return _emit(args, "jh", _echo(args, doc), results, {"nonempty": len(jh) >= 1},
-                 started, f"|JH| = {len(jh)}")
+    return results, {"nonempty": len(jh) >= 1}, f"|JH| = {len(jh)}"
 
 
-def cmd_hstar(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_hstar(args, doc, p):
     check = check_hstar_oracles(p)
     results = {
         "hstar": check.detail["by_descents"],
         "by_descents": check.detail["by_descents"],
         "by_counts": check.detail["by_counts"],
     }
-    return _emit(args, "hstar", _echo(args, doc), results,
-                 {"oracles_agree": check.passed}, started,
-                 f"h* = {check.detail['by_descents']} (descents vs counts: "
-                 f"{'agree' if check.passed else 'DISAGREE'})")
+    return (results, {"oracles_agree": check.passed},
+            f"h* = {check.detail['by_descents']} (descents vs counts: "
+            f"{'agree' if check.passed else 'DISAGREE'})")
 
 
-def cmd_ehrhart(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_ehrhart(args, doc, p):
     system = order_polytope(p)
     ehr = ehrhart_polynomial(system, p.n)
     results = {
@@ -212,30 +158,22 @@ def cmd_ehrhart(args) -> int:
     if args.t is not None:
         results["count_at_t"] = count_points(system, args.t)
         results["t"] = args.t
-    return _emit(args, "ehrhart", _echo(args, doc), results,
-                 {"reciprocity": reciprocity_check(system, p.n)}, started,
-                 f"ehr(O_P) = {' + '.join(f'{c}t^{i}' for i, c in enumerate(poly_to_json(ehr)))}")
+    return (results, {"reciprocity": reciprocity_check(system, p.n)},
+            f"ehr(O_P) = {' + '.join(f'{c}t^{i}' for i, c in enumerate(poly_to_json(ehr)))}")
 
 
-def cmd_gorenstein(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_gorenstein(args, doc, p):
     check = check_gorenstein_triple(p)
-    hstar = list(hstar_from_counts(order_polytope(p), p.n))
     results = dict(check.detail)
     results["gorenstein"] = bool(check.detail["graded"])
-    results["hstar"] = hstar
-    return _emit(args, "gorenstein", _echo(args, doc), results,
-                 {"triple_consistent": check.passed}, started,
-                 f"Gorenstein: {results['gorenstein']} (index {check.detail.get('counting_index')})")
+    results["hstar"] = list(hstar_from_counts(order_polytope(p), p.n))
+    return (results, {"triple_consistent": check.passed},
+            f"Gorenstein: {results['gorenstein']} (index {check.detail.get('counting_index')})")
 
 
-def cmd_fischer(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_fischer(args, doc, p):
     q = fischer_representation(p)
     report = is_graded(q)
-    halfspace_check = check_fischer_halfspaces(p)
     results = {
         "poset": q.to_json_dict(),
         "graded": report.graded,
@@ -243,19 +181,16 @@ def cmd_fischer(args) -> int:
         "rank": {str(k): v for k, v in sorted(report.rank.items())} if report.rank else None,
     }
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(hasse_dot(q))
+        _write(args.dot, hasse_dot(q))
         results["dot"] = args.dot
-    return _emit(args, "fischer", _echo(args, doc), results,
-                 {"centrally_symmetric": check_fischer_symmetry(q),
-                  "halfspaces_match_order_polytope": halfspace_check.passed},
-                 started,
-                 f"Fischer poset: {len(q.lt)} relations, graded = {report.graded}")
+    verification = {
+        "centrally_symmetric": check_fischer_symmetry(q),
+        "halfspaces_match_order_polytope": check_fischer_halfspaces(p).passed,
+    }
+    return results, verification, f"Fischer poset: {len(q.lt)} relations, graded = {report.graded}"
 
 
-def cmd_chain_polytope(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_chain_polytope(args, doc, p):
     cp = chain_polytope(p)
     chains = enumerate_chains(p)
     results = {
@@ -264,15 +199,14 @@ def cmd_chain_polytope(args) -> int:
         "chain_count": len(chains),
         "ehrhart": poly_to_json(ehrhart_polynomial(cp, p.n)),
     }
-    return _emit(args, "chain-polytope", _echo(args, doc), results,
-                 {"reflexive": is_reflexive(cp),
-                  "origin_interior": cp.contains((0,) * p.n, strict=True)},
-                 started, f"{len(chains)} chains, {len(cp.rows)} rows")
+    verification = {
+        "reflexive": is_reflexive(cp),
+        "origin_interior": cp.contains((0,) * p.n, strict=True),
+    }
+    return results, verification, f"{len(chains)} chains, {len(cp.rows)} rows"
 
 
-def cmd_antichains(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_antichains(args, doc, p):
     anti = antichains(p)
     characterization = verify_antichain_characterization(p)
     results = {
@@ -280,71 +214,99 @@ def cmd_antichains(args) -> int:
         "count": len(anti),
         "characterization": characterization,
     }
-    return _emit(args, "antichains", _echo(args, doc), results,
-                 {"lattice_points_of_chain_polytope": characterization["match"]},
-                 started, f"{len(anti)} antichains")
+    return (results, {"lattice_points_of_chain_polytope": characterization["match"]},
+            f"{len(anti)} antichains")
 
 
-def cmd_compare(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
+def cmd_compare(args, doc, p):
     results = compare_order_chain(p)
-    return _emit(args, "compare", _echo(args, doc), results, {}, started,
-                 "O_P vs C_P: Ehrhart "
-                 + ("equal" if results["ehrhart_equal"] else "different"))
+    return (results, {},
+            "O_P vs C_P: Ehrhart " + ("equal" if results["ehrhart_equal"] else "different"))
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
-    if args.posetfile:
-        doc, p = _load(args)
+def cmd_export_dot(args, doc, p):
+    dot = bidirected_dot(to_bidirected_graph(p))
+    if not args.dot:
+        print(dot, end="")
+        return None, {}, ""
+    _write(args.dot, dot)
+    return {"dot": args.dot, "edges": len(p.roots)}, {}, f"wrote {args.dot}"
+
+
+def cmd_verify(args, doc, p):
+    if p is not None:
         report = verify_poset(p)
-        for c in report.checks:
-            print(f"  {'ok  ' if c.passed else 'FAIL'} {c.name}", file=sys.stderr)
-        return _emit(args, "verify", _echo(args, doc), report.to_json_dict(),
-                     {"passed": report.passed}, started,
-                     f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks passed")
+        lines = [f"  {'ok  ' if c.passed else 'FAIL'} {c.name}" for c in report.checks]
+        lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks passed")
+        return report.to_json_dict(), {"passed": report.passed}, "\n".join(lines)
     if args.n is None:
-        raise ValueError("verify needs a poset file or --n")
+        raise InputError("verify needs a poset file or --n")
     catalog = verify_catalog(args.n, force=args.force,
                              log=lambda msg: print(msg, file=sys.stderr))
-    return _emit(args, "verify", {"n": args.n}, catalog.to_json_dict(),
-                 {"passed": catalog.passed}, started,
-                 f"{catalog.poset_count} posets on [{args.n}] verified: "
-                 + ("all checks passed" if catalog.passed else "FAILURES FOUND"))
+    return (catalog.to_json_dict(), {"passed": catalog.passed},
+            f"{catalog.poset_count} posets on [{args.n}] verified: "
+            + ("all checks passed" if catalog.passed else "FAILURES FOUND"))
 
 
-def cmd_enumerate(args) -> int:
-    started = time.monotonic()
-    if args.n is None:
-        raise ValueError("enumerate needs --n")
-    count = 0
+def cmd_enumerate(args, doc, p):
     if args.up_to_iso:
         posets = enumerate_signed_posets(args.n, up_to_iso=True, force=args.force)
     else:
         posets = iter_signed_posets(args.n, force=args.force)
-    for p in posets:
-        print(json.dumps({"n": args.n, "roots": p.tokens()},
+    count = 0
+    for q in posets:
+        print(json.dumps({"n": args.n, "roots": q.tokens()},
                          sort_keys=True, separators=(",", ":")))
         count += 1
     label = "isomorphism classes" if args.up_to_iso else "signed posets"
-    print(f"{count} {label} on [{args.n}] "
-          f"({int((time.monotonic() - started) * 1000)} ms)", file=sys.stderr)
-    return 0
+    return None, {}, f"{count} {label} on [{args.n}]"
 
 
-def cmd_export_dot(args) -> int:
-    started = time.monotonic()
-    doc, p = _load(args)
-    dot = bidirected_dot(to_bidirected_graph(p))
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
-        return _emit(args, "export-dot", _echo(args, doc),
-                     {"dot": args.dot, "edges": len(p.roots)}, {}, started,
-                     f"wrote {args.dot}")
-    print(dot, end="")
-    return 0
+def _dilate(text: str) -> int:
+    """argparse type of --t: a dilation factor, an integer t ≥ 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer t >= 0, got {text!r}")
+    return int(text)
+
+
+_FILE = ("posetfile", {"help": "poset file (n = ..., roots: ...)"})
+_JSON = ("--json", {"action": "store_true", "help": "indent the JSON report"})
+_DOT = ("--dot", {"metavar": "PATH", "default": None, "help": "write DOT here"})
+_FORCE = ("--force", {"action": "store_true", "help": "allow n >= 4"})
+_FILE_ARGS = (_FILE, _JSON)
+
+# name -> (command, help, arguments as (flag, add_argument keywords))
+COMMANDS = {
+    "validate": (cmd_validate, "parse, close, and validate a poset file", _FILE_ARGS),
+    "closure": (cmd_closure, "positive linear closure of the generators", _FILE_ARGS),
+    "minrep": (cmd_minrep, "minimal representation (analogue of cover relations)", _FILE_ARGS),
+    "hdesc": (cmd_hdesc, "full and irredundant halfspace descriptions of O_P", _FILE_ARGS),
+    "filters": (cmd_filters, "signed filters = lattice points of O_P", _FILE_ARGS),
+    "vertices": (cmd_vertices, "vertices of O_P", _FILE_ARGS),
+    "jh": (cmd_jh, "Jordan-Holder set and descent statistics", _FILE_ARGS),
+    "hstar": (cmd_hstar, "h* by descents and by lattice counts", _FILE_ARGS),
+    "ehrhart": (cmd_ehrhart, "Ehrhart polynomial of O_P", _FILE_ARGS + (
+        ("--t", {"type": _dilate, "default": None, "help": "also count at this dilate"}),)),
+    "gorenstein": (cmd_gorenstein, "Gorenstein test with the cross-checked triple", _FILE_ARGS),
+    "fischer": (cmd_fischer, "Fischer representation on {-n..n}", _FILE_ARGS + (_DOT,)),
+    "chain-polytope": (cmd_chain_polytope, "signed chains and C_P", _FILE_ARGS),
+    "antichains": (cmd_antichains, "antichains and the C_P lattice-point match", _FILE_ARGS),
+    "compare": (cmd_compare, "O_P versus C_P", _FILE_ARGS),
+    "export-dot": (cmd_export_dot, "bidirected-graph DOT export", _FILE_ARGS + (_DOT,)),
+    "verify": (cmd_verify, "cross-oracle suite for a file or a whole catalog", (
+        ("posetfile", {"nargs": "?", "default": None}),
+        ("--n", {"type": int, "default": None, "help": "verify every signed poset on [n]"}),
+        _FORCE,
+        _JSON,
+    )),
+    "enumerate": (cmd_enumerate, "stream every signed poset on [n] as JSON lines", (
+        ("--n", {"type": int, "required": True}),
+        ("--up-to-iso", {"action": "store_true",
+                         "help": "one representative per isomorphism class"}),
+        _FORCE,
+        ("--json", {"action": "store_true", "help": argparse.SUPPRESS}),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,62 +315,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signed posets and their order, cone, and chain geometry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    file_commands = {
-        "validate": (cmd_validate, "parse, close, and validate a poset file"),
-        "closure": (cmd_closure, "positive linear closure of the generators"),
-        "minrep": (cmd_minrep, "minimal representation (analogue of cover relations)"),
-        "hdesc": (cmd_hdesc, "full and irredundant halfspace descriptions of O_P"),
-        "filters": (cmd_filters, "signed filters = lattice points of O_P"),
-        "vertices": (cmd_vertices, "vertices of O_P"),
-        "jh": (cmd_jh, "Jordan-Holder set and descent statistics"),
-        "hstar": (cmd_hstar, "h* by descents and by lattice counts"),
-        "ehrhart": (cmd_ehrhart, "Ehrhart polynomial of O_P"),
-        "gorenstein": (cmd_gorenstein, "Gorenstein test with the cross-checked triple"),
-        "fischer": (cmd_fischer, "Fischer representation on {-n..n}"),
-        "chain-polytope": (cmd_chain_polytope, "signed chains and C_P"),
-        "antichains": (cmd_antichains, "antichains and the C_P lattice-point match"),
-        "compare": (cmd_compare, "O_P versus C_P"),
-        "export-dot": (cmd_export_dot, "bidirected-graph DOT export"),
-    }
-    for name, (fn, help_text) in file_commands.items():
+    for name, (fn, help_text, arguments) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("posetfile", help="poset file (n = ..., roots: ...)")
-        cmd.add_argument("--json", action="store_true", help="indent the JSON report")
-        if name == "ehrhart":
-            cmd.add_argument("--t", type=int, default=None, help="also count at this dilate")
-        if name in ("fischer", "export-dot"):
-            cmd.add_argument("--dot", metavar="PATH", default=None,
-                             help="write DOT here")
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
         cmd.set_defaults(func=fn)
-
-    ver = sub.add_parser("verify", help="cross-oracle suite for a file or a whole catalog")
-    ver.add_argument("posetfile", nargs="?", default=None)
-    ver.add_argument("--n", type=int, default=None, help="verify every signed poset on [n]")
-    ver.add_argument("--force", action="store_true", help="allow n >= 4")
-    ver.add_argument("--json", action="store_true", help="indent the JSON report")
-    ver.set_defaults(func=cmd_verify)
-
-    enum = sub.add_parser("enumerate", help="stream every signed poset on [n] as JSON lines")
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--up-to-iso", action="store_true", dest="up_to_iso",
-                      help="one representative per isomorphism class")
-    enum.add_argument("--force", action="store_true", help="allow n >= 4")
-    enum.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    enum.set_defaults(func=cmd_enumerate)
-
     return parser
 
 
+def run(args) -> int:
+    """Load the poset file if one is named, run the command, print its report."""
+    started = time.monotonic()
+    doc = p = None
+    if getattr(args, "posetfile", None) is not None:
+        with open(args.posetfile, encoding="utf-8") as handle:
+            doc = parse_poset(handle.read())
+        p = doc.to_poset()
+    results, verification, summary = args.func(args, doc, p)
+    elapsed_ms = int((time.monotonic() - started) * 1000)
+    if results is None:
+        if summary:
+            summary += f" ({elapsed_ms} ms)"
+    else:
+        report = {
+            "schema": 1,
+            "command": args.command,
+            "input": {"n": args.n} if doc is None
+            else {"path": args.posetfile, "document": doc.to_json_dict()},
+            "results": results,
+            "verification": verification,
+            "timing_ms": elapsed_ms,
+        }
+        if args.json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    if summary:
+        print(summary, file=sys.stderr)
+    return 1 if any(v is False for v in verification.values()) else 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (AsymmetryViolation, ValueError, OSError) as exc:
+        return run(args)
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except OracleMismatch as exc:
@@ -417,7 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(json.dumps({"schema": 1, "error": "oracle-mismatch",
                               "evidence": exc.evidence}, sort_keys=True))
         return 1
-    except _INTERNAL as exc:
+    except Exception as exc:
         print(f"internal inconsistency: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

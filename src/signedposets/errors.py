@@ -1,10 +1,11 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this package derives from SignedPosetError,
-so callers can catch one thing. InternalInconsistency and OracleMismatch are
-special: they mean a structural theorem this package relies on failed on a
-concrete input, which indicates a bug in our code (or a falsified theorem) and
-is never silently swallowed.
+so callers can catch one thing. InputError (with its subclasses ParseError
+and AsymmetryViolation) blames the input. InternalInconsistency and
+OracleMismatch are special: they mean a structural theorem this package
+relies on failed on a concrete input, which indicates a bug in our code (or
+a falsified theorem) and is never silently swallowed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ class SignedPosetError(Exception):
     """Base class for all package errors."""
 
 
-class AsymmetryViolation(SignedPosetError):
+class InputError(SignedPosetError, ValueError):
+    """The input is not acceptable: a malformed file, an asymmetric generating
+    set, or a ground size outside what was asked for.  The CLI exits 2."""
+
+
+class AsymmetryViolation(InputError):
     """A generating set closes up to contain some root together with its negative."""
 
     def __init__(self, root, message: str | None = None):
@@ -50,7 +56,7 @@ class NegativeHstar(SignedPosetError):
     """h* coefficients came out negative (signals a counting bug)."""
 
 
-class ParseError(SignedPosetError):
+class ParseError(InputError):
     """Poset file syntax or semantic error, with position information."""
 
     def __init__(self, message: str, line: int, column: int = 0):

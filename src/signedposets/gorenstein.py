@@ -3,8 +3,8 @@
 A signed poset P turns into a classical poset Ĝ(P) on the 2n+1 labels
 −n..n via five generation rules (one per root shape), transitively closed.
 O_P is Gorenstein exactly when Ĝ(P) is graded; the library answer comes from
-chain lengths, and a verification path cross-checks it against both the
-palindromic-h* and the counting characterizations.
+chain lengths, and `verify.check_gorenstein_triple` cross-checks it against
+both the palindromic-h* and the counting characterizations.
 """
 
 from __future__ import annotations
@@ -13,12 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CycleDetected, OracleMismatch
-from .ehrhart import (
-    gorenstein_index_by_counts,
-    hstar_from_counts,
-    is_palindromic,
-)
-from .geometry import order_polytope
 from .halfspaces import Halfspace, HalfspaceSystem, cube_rows, dedupe_rows
 from .posets import SignedPoset
 
@@ -183,37 +177,13 @@ def canonical_interior_point(report: GradedReport, n: int) -> tuple[int, ...]:
     return tuple(report.rank[i] - base for i in range(1, n + 1))
 
 
-def is_gorenstein(p: SignedPoset, cross_check: bool = False) -> bool:
-    """Gradedness of Ĝ(P); optionally triple-checked against both Ehrhart oracles.
+def is_gorenstein(p: SignedPoset) -> bool:
+    """Gradedness of Ĝ(P), the fast answer.
 
-    The cross-check (on in the verification CLI, off in the library fast
-    path) recomputes the answer from the counting Gorenstein index and from
-    palindromicity of h*, and raises OracleMismatch with all the evidence if
-    the three characterizations disagree.
+    `verify.check_gorenstein_triple` cross-checks it against the counting
+    Gorenstein index and the palindromicity of h*.
     """
-    report = is_graded(fischer_representation(p))
-    if cross_check:
-        system = order_polytope(p)
-        index = gorenstein_index_by_counts(system, p.n)
-        hstar = hstar_from_counts(system, p.n)
-        palin = is_palindromic(hstar)
-        expected = gorenstein_index_from_grading(report)
-        if not (report.graded == (index is not None) == palin):
-            raise OracleMismatch(
-                f"Gorenstein characterizations disagree for {p!r}",
-                {
-                    "graded": report.graded,
-                    "counting_index": index,
-                    "hstar": list(hstar),
-                    "palindromic": palin,
-                },
-            )
-        if report.graded and index != expected:
-            raise OracleMismatch(
-                f"Gorenstein index mismatch for {p!r}",
-                {"from_chains": expected, "from_counts": index},
-            )
-    return report.graded
+    return is_graded(fischer_representation(p)).graded
 
 
 def fischer_halfspaces(q: ClassicalPoset) -> HalfspaceSystem:

@@ -7,7 +7,6 @@ are dilation-invariant).  Strict membership uses the same rows strictly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,9 +49,6 @@ class HalfspaceSystem:
                 return False
         return True
 
-    def dilated_rows(self, t: int = 1) -> list[tuple[tuple[int, ...], int]]:
-        return [(row.a, t * row.b) for row in self.rows]
-
     def without(self, index: int) -> "HalfspaceSystem":
         """The system with one row dropped (for redundancy probing)."""
         return HalfspaceSystem(
@@ -67,9 +63,6 @@ class HalfspaceSystem:
                 for row in self.rows
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(data: dict) -> "HalfspaceSystem":

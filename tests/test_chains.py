@@ -13,7 +13,12 @@ from signedposets.chains import (
     is_reflexive,
     verify_antichain_characterization,
 )
-from signedposets.ehrhart import count_points, ehrhart_polynomial, hstar_from_counts
+from signedposets.ehrhart import (
+    count_points,
+    ehrhart_polynomial,
+    gorenstein_index_by_counts,
+    hstar_from_counts,
+)
 from signedposets.geometry import cube_vertices, order_polytope
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
 from signedposets.linalg import rank, solve_square
@@ -119,7 +124,9 @@ def test_antichain_characterization_catalog2():
 def test_reflexive():
     for tokens in [[], ["-1+2"], ["-1+2", "+1+2"], ["+1", "+2"]]:
         p = mk(2, tokens)
-        assert is_reflexive(chain_polytope(p), cross_check=True)
+        cp = chain_polytope(p)
+        assert is_reflexive(cp)
+        assert gorenstein_index_by_counts(cp) == 1
     fat = HalfspaceSystem(2, (Halfspace((1, 0), -2), Halfspace((-1, 0), -2),
                               Halfspace((0, 1), -1), Halfspace((0, -1), -1)))
     assert not is_reflexive(fat)

@@ -1,12 +1,18 @@
 """End-to-end CLI checks, run in process through main(argv)."""
 
+import contextlib
+import io
 import json
-from argparse import Namespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedposets import cli
-from signedposets.errors import InternalInconsistency
+from signedposets.errors import InternalInconsistency, ParseError
+from signedposets.posetfile import PosetDocument, parse_poset
+from signedposets.roots import all_roots
+from signedposets.verify import CheckResult
 
 
 @pytest.fixture
@@ -17,7 +23,10 @@ def fig1(tmp_path):
 
 
 def run(capsys, argv):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -242,6 +251,12 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_empty_path_exits_2(capsys):
+    code, _, err = run(capsys, ["validate", ""])
+    assert code == 2
+    assert "input error" in err
+
+
 def test_enumerate_guard_exits_2(capsys):
     code, _, err = run(capsys, ["enumerate", "--n", "4"])
     assert code == 2
@@ -254,11 +269,15 @@ def test_verify_without_target_exits_2(capsys):
     assert "input error" in err
 
 
-def test_failed_verification_exits_1(capsys):
-    args = Namespace(json=False)
-    code = cli._emit(args, "demo", {}, {}, {"broken": False, "fine": True}, 0.0, "")
+def test_failed_verification_exits_1(capsys, fig1, monkeypatch):
+    def disagreeing(p):
+        return CheckResult("hstar-oracles", False, {"by_descents": [1, 1], "by_counts": [1, 2]})
+
+    monkeypatch.setattr(cli, "check_hstar_oracles", disagreeing)
+    code, out, err = run(capsys, ["hstar", fig1])
     assert code == 1
-    assert json.loads(capsys.readouterr().out)["verification"]["broken"] is False
+    assert report_of(out)["verification"] == {"oracles_agree": False}
+    assert "DISAGREE" in err
 
 
 def test_internal_inconsistency_exits_3(capsys, fig1, monkeypatch):
@@ -269,3 +288,76 @@ def test_internal_inconsistency_exits_3(capsys, fig1, monkeypatch):
     code, _, err = run(capsys, ["verify", fig1])
     assert code == 3
     assert "internal inconsistency" in err
+
+
+@pytest.mark.parametrize("error", [KeyError("jh"), ValueError("not generic"), ZeroDivisionError()])
+def test_unexpected_exception_in_a_command_exits_3(capsys, fig1, monkeypatch, error):
+    def broken(p):
+        raise error
+
+    monkeypatch.setattr(cli, "jordan_holder", broken)
+    code, out, err = run(capsys, ["jh", fig1])
+    assert code == 3 and out == ""
+    assert err.startswith(f"internal inconsistency: {type(error).__name__}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "0"],
+    ["enumerate", "--n", "0", "--up-to-iso"],
+    ["verify", "--n", "0"],
+    ["verify", "--n", "4"],
+])
+def test_bad_ground_size_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
+def test_negative_dilate_exits_2(capsys, fig1):
+    code, out, err = run(capsys, ["ehrhart", fig1, "--t", "-1"])
+    assert code == 2 and out == ""
+    assert "--t" in err
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.poset"
+    path.write_bytes("name = caf\xe9\nn = 1\nroots: +1\n".encode("latin-1"))
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
+def test_asymmetry_violation_exits_2(capsys, tmp_path):
+    path = tmp_path / "clash.poset"
+    path.write_text("n = 2\nroots: -1+2 -2 +1\n")
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
+@given(st.text())
+def test_parse_poset_returns_a_document_or_raises_parse_error(text):
+    try:
+        assert isinstance(parse_poset(text), PosetDocument)
+    except ParseError:
+        pass
+
+
+TOKENS = [alpha.token() for alpha in all_roots(4)] + ["+5", "0", "+1+1", "x", "#"]
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.one_of(st.text(), st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join)),
+)
+@settings(max_examples=60, deadline=None)
+def test_validate_exits_only_0_or_2(tmp_path_factory, n, roots):
+    # n <= 4 keeps root_kernel(n), a (2n^2)^2 table, small.
+    path = tmp_path_factory.getbasetemp() / "fuzz.poset"
+    path.write_text(f"n = {n}\nroots: {roots}\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", str(path)])
+    assert code in (0, 2), err.getvalue()
+    assert (code == 0) == out.getvalue().startswith("{")

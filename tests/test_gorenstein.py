@@ -20,6 +20,7 @@ from signedposets.gorenstein import (
 )
 from signedposets.posets import SignedPoset, from_generators
 from signedposets.roots import parse_root
+from signedposets.verify import check_gorenstein_triple
 
 
 def mk(n, tokens):
@@ -108,7 +109,8 @@ def test_isolated_zero_label_does_not_break_grading():
     report = is_graded(q)
     assert report.graded and report.max_chain_length == 2
     assert canonical_interior_point(report, 3) == (1, 0, 1)
-    assert is_gorenstein(p, cross_check=True)
+    assert check_gorenstein_triple(p).passed
+    assert is_gorenstein(p)
 
 
 def test_odd_chain_length_not_graded():
@@ -140,9 +142,12 @@ def test_gorenstein_examples():
 
 
 def test_gorenstein_cross_check_over_catalog():
-    hits = sum(
-        1 for p in iter_signed_posets(2) if is_gorenstein(p, cross_check=True)
-    )
+    hits = 0
+    for p in iter_signed_posets(2):
+        check = check_gorenstein_triple(p)
+        assert check.passed, check.detail
+        assert check.detail["graded"] == is_gorenstein(p)
+        hits += is_gorenstein(p)
     assert hits == 17
 
 

@@ -13,13 +13,15 @@ Exit codes, decided in `main` alone: 0 ok; 1 a verification field is false,
 or two oracles disagree; 2 bad input (an unreadable or non-UTF-8 file, a
 parse error, asymmetric generators, a bad argument, or n ≥ 4 without
 --force); 3 anything else, an internal inconsistency, reported without a
-traceback.
+traceback; 141, silently, when the reader of stdout goes away (as a shell
+reports SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -359,6 +361,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (`... | head -1`); the input is fine.
+        # Point stdout at devnull so the flush at interpreter shutdown does
+        # not raise again, and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

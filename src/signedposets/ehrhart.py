@@ -2,8 +2,10 @@
 
 Counting is direct enumeration over an integer box with early row rejection;
 the box comes from single-coordinate rows when possible and otherwise from
-exact LP bounds.  Interpolation uses the nodes t = 0..n, the smallest exact
-determining set for a degree-n polynomial.
+exact LP bounds, solved once per system at t = 1 and scaled to each dilate.
+Counts are cached on the systems' integer rows in an LRU cache of fixed size.
+Interpolation uses the nodes t = 0..n, the smallest exact determining set for
+a degree-n polynomial.
 """
 
 from __future__ import annotations
@@ -36,12 +38,23 @@ def poly_eval(coeffs: Sequence[Fraction | int], t) -> Fraction:
     return total
 
 
-def _lp_bound(system: HalfspaceSystem, t: int, coord: int, sign: int) -> Fraction:
+Rows = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _rows(key: tuple[int, ...]) -> tuple[int, Rows]:
+    """(n, ((a, b), …)) back from a `HalfspaceSystem.key`."""
+    n = key[0]
+    flat = key[1:]
+    return n, tuple(
+        (flat[k : k + n], flat[k + n]) for k in range(0, len(flat), n + 1)
+    )
+
+
+def _lp_bound(n: int, rows: Rows, t: int, coord: int, sign: int) -> Fraction:
     """Exact min (sign=+1) or −max (sign=−1) of x_coord over the t-dilate."""
-    objective = [0] * system.n
+    objective = [0] * n
     objective[coord] = sign
-    rows = [(row.a, Fraction(t * row.b)) for row in system.rows]
-    status, value, _ = minimize(objective, rows)
+    status, value, _ = minimize(objective, [(a, Fraction(t * b)) for a, b in rows])
     if status == "unbounded":
         raise UnboundedSystem(
             f"coordinate {coord + 1} is unbounded; cannot count lattice points"
@@ -55,50 +68,68 @@ class _EmptySystem(Exception):
     """Internal: the dilate is empty, so every count is zero."""
 
 
-def integer_box(system: HalfspaceSystem, t: int) -> list[tuple[int, int]]:
-    """Per-coordinate integer bounds enclosing the t-dilate.
+def _box(n: int, rows: Rows, t: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Rational per-coordinate bounds of the t-dilate, solved at t itself.
 
     Rows supported on a single coordinate give bounds syntactically; any side
-    still missing falls back to an exact LP.
+    still missing comes from an exact LP.
     """
-    lo: list[Optional[Fraction]] = [None] * system.n
-    hi: list[Optional[Fraction]] = [None] * system.n
-    for row in system.rows:
-        support = [i for i, c in enumerate(row.a) if c != 0]
+    lo: list[Optional[Fraction]] = [None] * n
+    hi: list[Optional[Fraction]] = [None] * n
+    for a, b in rows:
+        support = [i for i, c in enumerate(a) if c != 0]
         if len(support) != 1:
             continue
         (i,) = support
-        c = row.a[i]
-        bound = Fraction(t * row.b, c)
+        c = a[i]
+        bound = Fraction(t * b, c)
         if c > 0:
             lo[i] = bound if lo[i] is None else max(lo[i], bound)
         else:
             hi[i] = bound if hi[i] is None else min(hi[i], bound)
-    box = []
-    for i in range(system.n):
-        low = lo[i] if lo[i] is not None else _lp_bound(system, t, i, 1)
-        high = hi[i] if hi[i] is not None else -_lp_bound(system, t, i, -1)
-        box.append((math.ceil(low), math.floor(high)))
-    return box
+    return tuple(
+        (
+            lo[i] if lo[i] is not None else _lp_bound(n, rows, t, i, 1),
+            hi[i] if hi[i] is not None else -_lp_bound(n, rows, t, i, -1),
+        )
+        for i in range(n)
+    )
 
 
-@lru_cache(maxsize=131072)
-def count_points(system: HalfspaceSystem, t: int, strict: bool = False) -> int:
-    """|tP ∩ Z^n| (or the strict-interior count) by box enumeration.
+@lru_cache(maxsize=1024)
+def _unit_box(key: tuple[int, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
+    return _box(*_rows(key), 1)
 
-    Memoized: the verification sweeps ask for the same counts many times
-    (h*, reciprocity, Gorenstein index all sit on the same values).
+
+def _integer_box(key: tuple[int, ...], t: int) -> list[tuple[int, int]]:
+    if t == 0:
+        return [(math.ceil(low), math.floor(high)) for low, high in _box(*_rows(key), 0)]
+    return [(math.ceil(t * low), math.floor(t * high)) for low, high in _unit_box(key)]
+
+
+def integer_box(system: HalfspaceSystem, t: int) -> list[tuple[int, int]]:
+    """Per-coordinate integer bounds enclosing the t-dilate.
+
+    Rows supported on a single coordinate give bounds syntactically; any side
+    still missing comes from an exact LP.  For t ≥ 1 the bounds are solved
+    once, at t = 1, and scaled: min over tP is t times min over P.  t = 0 (the
+    recession cone) is solved on its own.
     """
+    return _integer_box(system.key, t)
+
+
+@lru_cache(maxsize=4096)
+def _count(key: tuple[int, ...], t: int, strict: bool) -> int:
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
     try:
-        box = integer_box(system, t)
+        box = _integer_box(key, t)
     except _EmptySystem:
         return 0
     if any(lo > hi for lo, hi in box):
         return 0
     ranges = [range(lo, hi + 1) for lo, hi in box]
-    rows = [(row.a, t * row.b) for row in system.rows]
+    rows = [(a, t * b) for a, b in _rows(key)[1]]
     count = 0
     for x in product(*ranges):
         for a, b in rows:
@@ -108,6 +139,28 @@ def count_points(system: HalfspaceSystem, t: int, strict: bool = False) -> int:
         else:
             count += 1
     return count
+
+
+def count_points(system: HalfspaceSystem, t: int, strict: bool = False) -> int:
+    """|tP ∩ Z^n| (or the strict-interior count) by box enumeration.
+
+    Cached on the rows' integers (`system.key`), so systems that differ only
+    in labels share an entry, in an LRU cache of 4,096 entries: the
+    verification sweeps ask for the same counts many times (h*, reciprocity
+    and the Gorenstein index all sit on the same values).
+    `count_points.cache_info()` and `count_points.cache_clear()` work as for
+    `functools.lru_cache`; clearing also drops the cached t = 1 box bounds.
+    """
+    return _count(system.key, t, strict)
+
+
+def _cache_clear() -> None:
+    _count.cache_clear()
+    _unit_box.cache_clear()
+
+
+count_points.cache_info = _count.cache_info
+count_points.cache_clear = _cache_clear
 
 
 def ehrhart_polynomial(system: HalfspaceSystem, n: Optional[int] = None) -> Poly:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import InternalInconsistency
 from .halfspaces import Halfspace, HalfspaceSystem, cube_rows
-from .linalg import minimize, rank
+from .linalg import dot, minimize, rank
 from .posets import SignedPoset, from_generators, minimal_representation
 from .roots import Root, inner_product
 
@@ -65,12 +65,27 @@ def order_polytope_irredundant(p: SignedPoset) -> HalfspaceSystem:
     return HalfspaceSystem(p.n, tuple(rows))
 
 
+_WITNESS_RANGE = range(-2, 3)
+
+
 def row_is_necessary(system: HalfspaceSystem, index: int) -> bool:
     """Exact redundancy probe: can ⟨a, x⟩ go below b while all other rows hold?
 
-    Minimizes the row's form subject to the remaining rows; the row is
-    necessary iff the minimum is below b (or unbounded below).
+    First looks for an integer witness in [−2, 2]^n: a point that satisfies
+    every other row and violates this one proves the row necessary.  Without
+    one, the LP decides: it minimizes the row's form subject to the remaining
+    rows, and the row is necessary iff the minimum is below b (or unbounded
+    below).
     """
+    row = system.rows[index]
+    others = [(r.a, r.b) for i, r in enumerate(system.rows) if i != index]
+    for x in product(_WITNESS_RANGE, repeat=system.n):
+        if dot(row.a, x) < row.b and all(dot(a, x) >= b for a, b in others):
+            return True
+    return _lp_row_is_necessary(system, index)
+
+
+def _lp_row_is_necessary(system: HalfspaceSystem, index: int) -> bool:
     row = system.rows[index]
     others = [(r.a, Fraction(r.b)) for i, r in enumerate(system.rows) if i != index]
     status, value, _ = minimize(row.a, others)

@@ -3,12 +3,15 @@
 A system is a finite list of weak inequalities ⟨a, x⟩ ≥ b with integer data.
 Dilation by t scales the right-hand sides (rows with b = 0 — the poset rows —
 are dilation-invariant).  Strict membership uses the same rows strictly.
+Labels are for reading only: `HalfspaceSystem.key` holds the integer data
+alone, and is what caches and kernels key on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import dot
@@ -37,6 +40,15 @@ class HalfspaceSystem:
         for row in self.rows:
             if len(row.a) != self.n:
                 raise ValueError(f"row {row} has wrong dimension (expected {self.n})")
+
+    @cached_property
+    def key(self) -> tuple[int, ...]:
+        """(n, a_1, b_1, a_2, b_2, …) flattened: the rows without their labels."""
+        flat = [self.n]
+        for row in self.rows:
+            flat += row.a
+            flat.append(row.b)
+        return tuple(flat)
 
     def contains(
         self, x: Sequence[int | Fraction], t: int = 1, strict: bool = False

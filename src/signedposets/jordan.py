@@ -8,7 +8,9 @@ descent statistic generates h*.
 The half-open cells are taken with respect to the reference point
 p = (1, 2, …, n)/(n+1): a facet is removed exactly where NatDes says so, and
 the generic beyond-facet construction is kept as a slow debug oracle for that
-characterization.
+characterization.  The oracle carries p in integers, as (1, 2, …, n) at scale
+n+1, so membership needs no rationals (half-open membership is a sign test
+on facet forms; Köppe–Verdoolaege, EJC 15, 2008).
 """
 
 from __future__ import annotations
@@ -176,11 +178,15 @@ def half_open_contains_generic(
     A facet row of Δ_σ is removed iff the viewpoint q violates it; membership
     then requires x to satisfy removed rows strictly and kept rows weakly,
     all at dilate t.  Raises ValueError if q lies on a facet hyperplane
-    (non-generic).
+    (non-generic).  Without q the viewpoint is `reference_point(n)`, carried
+    exactly in integers as (1, …, n) at scale n + 1: the facet forms are
+    linear, so only the top facet's right-hand side sees the scale.
     """
     n = sigma.n
     if q is None:
-        q = reference_point(n)
+        q, scale = tuple(range(1, n + 1)), n + 1
+    else:
+        scale = 1
     values_x = _chain_values(sigma, x)
     values_q = _chain_values(sigma, q)
     # Facet forms, written as (value at x, value at q, dilate-scaling of rhs):
@@ -196,9 +202,9 @@ def half_open_contains_generic(
             return False
     # Top facet ε_n x_{π_n} ≤ t (q is compared at the unit dilate).
     top_x, top_q = values_x[-1], values_q[-1]
-    if top_q == 1:
+    if top_q == scale:
         raise ValueError("viewpoint is not generic for this cell")
-    if top_x > t or (top_x == t and top_q > 1):
+    if top_x > t or (top_x == t and top_q > scale):
         return False
     return True
 

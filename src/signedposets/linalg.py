@@ -1,7 +1,8 @@
 """Exact rational linear algebra: Gaussian elimination and a small two-phase simplex.
 
-Everything here works over `fractions.Fraction` — there is no floating point
-and therefore no tolerance anywhere in the package.  The systems solved are
+Everything here is exact: `dot` stays in integers on integer input, and the
+rest works over `fractions.Fraction` — there is no floating point and
+therefore no tolerance anywhere in the package.  The systems solved are
 tiny (at most ~6 equations and a few dozen variables), so a dense tableau with
 Bland's anti-cycling rule is entirely adequate.
 """
@@ -18,11 +19,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def dot(a: Sequence[Rat], x: Sequence[Rat]) -> Fraction:
-    """Exact inner product."""
+def dot(a: Sequence[Rat], x: Sequence[Rat]) -> Rat:
+    """Exact inner product: an int for integer vectors, a Fraction otherwise.
+
+    >>> dot((1, -1), (3, 2))
+    1
+    >>> dot((1, -1), (Fraction(1, 2), 2))
+    Fraction(-3, 2)
+    """
     if len(a) != len(x):
         raise ValueError("dimension mismatch")
-    return sum((Fraction(ai) * xi for ai, xi in zip(a, x)), _ZERO)
+    return sum(ai * xi for ai, xi in zip(a, x))
 
 
 def rank(rows: Sequence[Sequence[Rat]]) -> int:

@@ -14,6 +14,7 @@ small examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from typing import Iterable, Optional
 
@@ -34,12 +35,12 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.images)
 
-    @property
+    @cached_property
     def pi(self) -> tuple[int, ...]:
         """Underlying unsigned permutation π with π_i = |ω(i)|."""
         return tuple(abs(v) for v in self.images)
 
-    @property
+    @cached_property
     def eps(self) -> tuple[int, ...]:
         """Sign vector ε with ε_i = sign(ω(i))."""
         return tuple(1 if v > 0 else -1 for v in self.images)
@@ -74,6 +75,9 @@ class SignedPermutation:
 def enumerate_signed_permutations(n: int, limit: int = 9) -> list[SignedPermutation]:
     """All 2^n·n! signed permutations, ascending lexicographic by one-line word.
 
+    The group is built once per n up to n = 5 (3,840 elements) and each call
+    returns a new list of the shared, immutable elements.
+
     >>> [w.images for w in enumerate_signed_permutations(1)]
     [(-1,), (1,)]
     >>> len(enumerate_signed_permutations(2))
@@ -85,12 +89,24 @@ def enumerate_signed_permutations(n: int, limit: int = 9) -> list[SignedPermutat
         raise ValueError(
             f"refusing to enumerate S_{n}^B = {2**n} * {n}! elements; raise limit= to force"
         )
+    if n <= _CACHED_UP_TO:
+        return list(_group(n))
+    return list(_build_group(n))
+
+
+_CACHED_UP_TO = 5
+
+
+def _build_group(n: int) -> tuple[SignedPermutation, ...]:
     words = []
     for pi in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
             words.append(tuple(s * v for s, v in zip(signs, pi)))
     words.sort()
-    return [SignedPermutation(w) for w in words]
+    return tuple(SignedPermutation(w) for w in words)
+
+
+_group = lru_cache(maxsize=None)(_build_group)
 
 
 def act(omega: SignedPermutation, alpha: Root) -> Root:

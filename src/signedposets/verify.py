@@ -2,10 +2,10 @@
 
 Every structural claim the library makes is re-checked here by an
 independent route: descent-counted h* against lattice-point-counted h*,
-LP-certified irredundancy against brute lattice scans, the half-open
-triangulation against plain point membership, Fischer gradedness against
-counting Gorenstein indices, chain-polytope reflexivity against shifted
-interior counts.  A failed check is report content; the library itself only
+irredundancy certified by integer witnesses or the LP against brute lattice
+scans, the half-open triangulation against plain point membership, Fischer
+gradedness against counting Gorenstein indices, chain-polytope reflexivity
+against shifted interior counts.  A failed check is report content; the library itself only
 raises when its own postconditions break.
 
 `verify_poset` runs the battery on one poset; `verify_catalog` sweeps every
@@ -75,14 +75,14 @@ from .posets import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
     detail: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosetReport:
     n: int
     tokens: tuple[str, ...]
@@ -409,7 +409,24 @@ def subchain_sufficiency_witness(n: int = 3, force: bool = False) -> Optional[di
 
     Classically maximal chains suffice; the signed analogue fails.  Keeps the
     cube (singleton chains) and the rows of window-maximal chains, then asks
-    the LP whether any dropped row still cuts.  Returns the first witness.
+    whether any dropped row still cuts.  Returns the first witness.
+    """
+    for p, chain, trial in subchain_trials(n, force):
+        if row_is_necessary(trial, len(trial.rows) - 1):
+            return {
+                "poset": p.tokens(),
+                "chain": chain.to_json_dict(),
+                "row": list(trial.rows[-1].a),
+                "kept_rows": len(trial.rows) - 1,
+            }
+    return None
+
+
+def subchain_trials(n: int = 3, force: bool = False):
+    """(P, dropped chain, trial system) in the witness search's order.
+
+    The trial system is the kept rows (cube and window-maximal chains) plus
+    one row of a dropped chain, last; the question is whether that row cuts.
     """
     for p in iter_signed_posets(n, force=force):
         chains = enumerate_chains(p)
@@ -438,17 +455,9 @@ def subchain_sufficiency_witness(n: int = 3, force: bool = False) -> Optional[di
             for a in (w, tuple(-x for x in w)):
                 if (a, -1) in kept_keys:
                     continue
-                trial = HalfspaceSystem(
+                yield p, chain, HalfspaceSystem(
                     p.n, tuple(kept) + (Halfspace(a, -1, "dropped"),)
                 )
-                if row_is_necessary(trial, len(kept)):
-                    return {
-                        "poset": p.tokens(),
-                        "chain": chain.to_json_dict(),
-                        "row": list(a),
-                        "kept_rows": len(kept),
-                    }
-    return None
 
 
 def isomorphism_invariance_report(n: int = 2) -> dict:

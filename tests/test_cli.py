@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signedposets
 from signedposets import cli
 from signedposets.errors import InternalInconsistency, ParseError
 from signedposets.posetfile import PosetDocument, parse_poset
@@ -361,3 +366,26 @@ def test_validate_exits_only_0_or_2(tmp_path_factory, n, roots):
         code = cli.main(["validate", str(path)])
     assert code in (0, 2), err.getvalue()
     assert (code == 0) == out.getvalue().startswith("{")
+
+
+def test_closed_stdout_exits_141_without_an_error(tmp_path):
+    # `signedposets enumerate --n 3 | head -1`: the reader goes away after one
+    # line.  The pipe is shrunk to one page where Linux allows it, so the
+    # writer is still writing when the reader closes (47 KB of output).
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set here")
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=str(Path(signedposets.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signedposets.cli", "enumerate", "--n", "3"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+    )
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as reader:
+        first = reader.readline()
+    _, err = proc.communicate(timeout=60)
+    assert json.loads(first) == {"n": 3, "roots": []}
+    assert proc.returncode == 141
+    assert err == b""

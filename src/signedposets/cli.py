@@ -352,6 +352,9 @@ def run(args) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    # Flush here, not at interpreter shutdown, so a reader that has gone away
+    # raises BrokenPipeError inside `main`'s try.
+    sys.stdout.flush()
     if summary:
         print(summary, file=sys.stderr)
     return 1 if any(v is False for v in verification.values()) else 0

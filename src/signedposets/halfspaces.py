@@ -43,7 +43,10 @@ class HalfspaceSystem:
 
     @cached_property
     def key(self) -> tuple[int, ...]:
-        """(n, a_1, b_1, a_2, b_2, …) flattened: the rows without their labels."""
+        """(n, a_1, b_1, a_2, b_2, …) flattened: the rows without their labels.
+
+        `rows_from_key` reads it back.
+        """
         flat = [self.n]
         for row in self.rows:
             flat += row.a
@@ -83,6 +86,18 @@ class HalfspaceSystem:
             for row in data["rows"]
         )
         return HalfspaceSystem(data["n"], rows)
+
+
+Rows = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def rows_from_key(key: tuple[int, ...]) -> tuple[int, Rows]:
+    """(n, ((a, b), …)) back from a `HalfspaceSystem.key`."""
+    n = key[0]
+    flat = key[1:]
+    return n, tuple(
+        (flat[k : k + n], flat[k + n]) for k in range(0, len(flat), n + 1)
+    )
 
 
 def cube_rows(n: int) -> list[Halfspace]:

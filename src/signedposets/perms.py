@@ -75,8 +75,9 @@ class SignedPermutation:
 def enumerate_signed_permutations(n: int, limit: int = 9) -> list[SignedPermutation]:
     """All 2^n·n! signed permutations, ascending lexicographic by one-line word.
 
-    The group is built once per n up to n = 5 (3,840 elements) and each call
-    returns a new list of the shared, immutable elements.
+    The groups of the two most recently asked n are kept (n = 5 has 3,840
+    elements), and each call returns a new list of the shared, immutable
+    elements.
 
     >>> [w.images for w in enumerate_signed_permutations(1)]
     [(-1,), (1,)]
@@ -89,24 +90,18 @@ def enumerate_signed_permutations(n: int, limit: int = 9) -> list[SignedPermutat
         raise ValueError(
             f"refusing to enumerate S_{n}^B = {2**n} * {n}! elements; raise limit= to force"
         )
-    if n <= _CACHED_UP_TO:
-        return list(_group(n))
-    return list(_build_group(n))
+    return list(_group(n))
 
 
-_CACHED_UP_TO = 5
-
-
-def _build_group(n: int) -> tuple[SignedPermutation, ...]:
+# Each caller works at a single n, so two groups bound the memory.
+@lru_cache(maxsize=2)
+def _group(n: int) -> tuple[SignedPermutation, ...]:
     words = []
     for pi in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
             words.append(tuple(s * v for s, v in zip(signs, pi)))
     words.sort()
     return tuple(SignedPermutation(w) for w in words)
-
-
-_group = lru_cache(maxsize=None)(_build_group)
 
 
 def act(omega: SignedPermutation, alpha: Root) -> Root:

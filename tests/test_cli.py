@@ -368,6 +368,13 @@ def test_validate_exits_only_0_or_2(tmp_path_factory, n, roots):
     assert (code == 0) == out.getvalue().startswith("{")
 
 
+def _cli_env():
+    # stdout block-buffered, as on any pipe.
+    env = dict(os.environ, PYTHONPATH=str(Path(signedposets.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def test_closed_stdout_exits_141_without_an_error(tmp_path):
     # `signedposets enumerate --n 3 | head -1`: the reader goes away after one
     # line.  The pipe is shrunk to one page where Linux allows it, so the
@@ -377,10 +384,9 @@ def test_closed_stdout_exits_141_without_an_error(tmp_path):
         pytest.skip("pipe size cannot be set here")
     read_fd, write_fd = os.pipe()
     fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
-    env = dict(os.environ, PYTHONPATH=str(Path(signedposets.__file__).parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "signedposets.cli", "enumerate", "--n", "3"],
-        stdout=write_fd, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+        stdout=write_fd, stderr=subprocess.PIPE, env=_cli_env(), cwd=tmp_path,
     )
     os.close(write_fd)
     with os.fdopen(read_fd, "rb") as reader:
@@ -389,3 +395,20 @@ def test_closed_stdout_exits_141_without_an_error(tmp_path):
     assert json.loads(first) == {"n": 3, "roots": []}
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_stdout_closed_before_start_exits_141(tmp_path):
+    # The 1 KB of `enumerate --n 2` sits in stdout's buffer until `run`
+    # flushes it, so the write fails only there.
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "signedposets.cli", "enumerate", "--n", "2"],
+            stdout=write_fd, stderr=subprocess.PIPE, env=_cli_env(), cwd=tmp_path,
+            timeout=60,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Optional, Sequence
 
 from .errors import (
@@ -119,17 +118,63 @@ def _count(key: tuple[int, ...], t: int, strict: bool) -> int:
         return 0
     if any(lo > hi for lo, hi in box):
         return 0
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    rows = [(a, t * b) for a, b in rows_from_key(key)[1]]
-    count = 0
-    for x in product(*ranges):
-        for a, b in rows:
-            value = sum(ai * xi for ai, xi in zip(a, x))
-            if value < b or (strict and value == b):
-                break
-        else:
-            count += 1
-    return count
+    # In integers a strict row ⟨a, x⟩ > t·b is ⟨a, x⟩ ≥ t·b + 1.
+    rows = [(a, t * b + strict) for a, b in rows_from_key(key)[1]]
+    return _scan(box, rows)
+
+
+def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -> int:
+    """Points x of the box with ⟨a, x⟩ ≥ b for every row, depth first.
+
+    Coordinates are fixed in order, keeping each row's partial sum.  At depth
+    d a row bounds x_d: its partial sum, plus a_d·x_d, plus the most the
+    coordinates after d can add within the box must reach b.  That interval
+    prunes every branch no completion can satisfy, and at the last coordinate
+    it is exact, so the last coordinate is counted, not looped over.  A row
+    only needs checking at the coordinates where it is nonzero: between
+    them its partial sum and bound do not move.
+    """
+    n = len(box)
+    # reach[d] of a row: the largest Σ_{k ≥ d} a_k·x_k over the box.
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for r, (a, b) in enumerate(rows):
+        reach = 0
+        for d in reversed(range(n)):
+            c = a[d]
+            if c:
+                levels[d].append((r, c, b - reach))
+                lo, hi = box[d]
+                reach += c * (hi if c > 0 else lo)
+        if reach < b:
+            return 0
+    partial = [0] * len(rows)
+    last = n - 1
+
+    def count(d: int) -> int:
+        lo, hi = box[d]
+        for r, c, need in levels[d]:
+            gap = need - partial[r]  # c·x_d ≥ gap
+            if c > 0:
+                lo = max(lo, -(-gap // c))
+            else:
+                hi = min(hi, gap // c)
+        if lo > hi:
+            return 0
+        if d == last:
+            return hi - lo + 1
+        touched = levels[d]
+        for r, c, _ in touched:
+            partial[r] += c * lo
+        total = 0
+        for _ in range(lo, hi + 1):
+            total += count(d + 1)
+            for r, c, _ in touched:
+                partial[r] += c
+        for r, c, _ in touched:
+            partial[r] -= c * (hi + 1)
+        return total
+
+    return count(0)
 
 
 def count_points(system: HalfspaceSystem, t: int, strict: bool = False) -> int:

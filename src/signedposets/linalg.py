@@ -1,14 +1,18 @@
 """Exact rational linear algebra: Gaussian elimination and a small two-phase simplex.
 
-Everything here is exact: `dot` stays in integers on integer input, and the
-rest works over `fractions.Fraction` — there is no floating point and
-therefore no tolerance anywhere in the package.  The systems solved are
-tiny (at most ~6 equations and a few dozen variables), so a dense tableau with
+Everything here is exact: there is no floating point and therefore no
+tolerance anywhere in the package.  `dot` stays in integers on integer input.
+The simplex is fraction-free: rational data are scaled to integers on entry,
+and the tableau is kept as integers over one common denominator, updated by
+Bareiss steps; only the answers come back as `fractions.Fraction`.  `rank`,
+`det` and `solve_square` eliminate over `Fraction`.  The LPs solved are tiny
+(at most a few dozen equations and variables), so a dense tableau with
 Bland's anti-cycling rule is entirely adequate.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -98,78 +102,112 @@ def solve_square(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[
     return tuple(m[i][n] for i in range(n))
 
 
-class _Tableau:
-    """Dense simplex tableau for `min c·x  s.t.  Ax = b, x ≥ 0` with Bland's rule."""
+def _integers(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """The least s > 0 with s·v integral for every v, and the integers s·v."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [int(v * scale) for v in values]
 
-    def __init__(self, a: list[list[Fraction]], b: list[Fraction]):
+
+class _Tableau:
+    """Fraction-free simplex tableau for `min c·x  s.t.  Ax = b, x ≥ 0`, Bland's rule.
+
+    The exact tableau is `t / d`: integer rows over one common denominator
+    d > 0, which is the absolute determinant of the current basis (scaled by
+    the rows' denominators on entry).  A pivot is a Bareiss step,
+    `(p·x − f·y) // d` with p the pivot, and every division is exact.  The
+    objective row `z` (reduced costs, then minus the value, times d) is
+    carried through the same steps.
+    """
+
+    def __init__(self, a: Sequence[Sequence[Rat]], b: Sequence[Rat]):
         self.m = len(a)
         self.nv = len(a[0]) if a else 0
         # Flip rows so the right-hand side is nonnegative, then append an
-        # artificial identity; the artificial variables form the initial basis.
+        # artificial identity; the artificial variables form the initial
+        # basis.  Each row is scaled to integers and the tableau to one
+        # denominator, which scaling rows does not change.
+        scaled = [_integers([*row, rhs]) for row, rhs in zip(a, b)]
+        self.d = math.prod(scale for scale, _ in scaled)
         rows = []
-        for i in range(self.m):
-            row = a[i][:] if b[i] >= 0 else [-x for x in a[i]]
-            rhs = b[i] if b[i] >= 0 else -b[i]
-            art = [_ONE if j == i else _ZERO for j in range(self.m)]
-            rows.append(row + art + [rhs])
+        for i, (scale, row) in enumerate(scaled):
+            factor = self.d // scale if row[-1] >= 0 else -self.d // scale
+            art = [0] * self.m
+            art[i] = self.d
+            rows.append([factor * x for x in row[:-1]] + art + [factor * row[-1]])
         self.t = rows
         self.total = self.nv + self.m
         self.basis = [self.nv + i for i in range(self.m)]
+        self.z: list[int] = []
+        self.scale = 1
+
+    def set_cost(self, cost: Sequence[Rat]) -> None:
+        """Price the current basis: z_j = d·c_j − Σ_i c_basis(i)·t_ij, cost in integers."""
+        self.scale, c = _integers(cost)
+        z = [self.d * x for x in c] + [0]
+        for i, row in enumerate(self.t):
+            cb = c[self.basis[i]]
+            if cb:
+                z = [x - cb * y for x, y in zip(z, row)]
+        self.z = z
 
     def _pivot(self, r: int, c: int) -> None:
-        t = self.t
-        inv = 1 / t[r][c]
-        t[r] = [x * inv for x in t[r]]
+        t, d = self.t, self.d
+        row = t[r]
+        p = row[c]
+        if p < 0:  # the same exact row, with a positive pivot so that d stays > 0
+            row = t[r] = [-x for x in row]
+            p = -p
         for i in range(self.m):
-            if i != r and t[i][c] != 0:
-                f = t[i][c]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+            if i != r:
+                t[i] = _eliminate(t[i], row, c, p, d)
+        self.z = _eliminate(self.z, row, c, p, d)
+        self.d = p
         self.basis[r] = c
 
-    def _run(self, cost: list[Fraction], allowed: int) -> str:
+    def run(self, allowed: int) -> str:
         """Bland-rule iterations; entering variables restricted to index < allowed."""
         t = self.t
         while True:
-            # Multipliers for the current basis, then first negative reduced cost.
-            enter = -1
-            for j in range(allowed):
-                if j in self.basis:
-                    continue
-                red = cost[j] - sum(
-                    cost[self.basis[i]] * t[i][j]
-                    for i in range(self.m)
-                    if cost[self.basis[i]] != 0
-                )
-                if red < 0:
-                    enter = j
-                    break
+            # First negative reduced cost; basic columns price at exactly 0.
+            z = self.z
+            enter = next((j for j in range(allowed) if z[j] < 0), -1)
             if enter < 0:
                 return "optimal"
+            # Least ratio rhs/entry over positive entries, compared by
+            # cross-multiplication; ties go to the smaller basic index.
             leave = -1
-            best: Optional[Fraction] = None
             for i in range(self.m):
-                if t[i][enter] > 0:
-                    ratio = t[i][-1] / t[i][enter]
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
+                entry = t[i][enter]
+                if entry > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs = t[i][-1] * t[leave][enter]
+                    rhs = t[leave][-1] * entry
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave < 0:
                 return "unbounded"
             self._pivot(leave, enter)
 
-    def value(self, cost: list[Fraction]) -> Fraction:
-        return sum(
-            (cost[self.basis[i]] * self.t[i][-1] for i in range(self.m)), _ZERO
-        )
+    def value(self) -> Fraction:
+        return Fraction(-self.z[-1], self.d * self.scale)
 
     def solution(self) -> list[Fraction]:
         x = [_ZERO] * self.nv
         for i, j in enumerate(self.basis):
             if j < self.nv:
-                x[j] = self.t[i][-1]
+                x[j] = Fraction(self.t[i][-1], self.d)
         return x
+
+
+def _eliminate(row: list[int], pivot_row: list[int], c: int, p: int, d: int) -> list[int]:
+    f = row[c]
+    if f:
+        return [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]
 
 
 def solve_standard(
@@ -180,14 +218,10 @@ def solve_standard(
     Returns (status, x, value) with status one of "optimal", "infeasible",
     "unbounded"; x and value are None unless status is "optimal".
     """
-    a = [[Fraction(x) for x in row] for row in a]
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
     tab = _Tableau(a, b)
-
-    phase1 = [_ZERO] * tab.nv + [_ONE] * tab.m
-    tab._run(phase1, tab.total)
-    if tab.value(phase1) > 0:
+    tab.set_cost([0] * tab.nv + [1] * tab.m)
+    tab.run(tab.total)
+    if tab.value() > 0:
         return "infeasible", None, None
     # Drive any artificial still in the basis out of it (or recognize the row
     # as redundant and leave it; a zero row can never pivot again).
@@ -197,11 +231,10 @@ def solve_standard(
             if col is not None:
                 tab._pivot(i, col)
 
-    phase2 = c + [_ZERO] * tab.m
-    status = tab._run(phase2, tab.nv)
-    if status == "unbounded":
+    tab.set_cost([*c, *[0] * tab.m])
+    if tab.run(tab.nv) == "unbounded":
         return "unbounded", None, None
-    return "optimal", tab.solution(), tab.value(phase2)
+    return "optimal", tab.solution(), tab.value()
 
 
 def nonneg_combination(
@@ -217,8 +250,8 @@ def nonneg_combination(
     m = len(target)
     if any(len(v) != m for v in vectors):
         raise ValueError("dimension mismatch")
-    a = [[Fraction(v[i]) for v in vectors] for i in range(m)]
-    status, x, _ = solve_standard(a, list(target), [_ZERO] * len(vectors))
+    a = [[v[i] for v in vectors] for i in range(m)]
+    status, x, _ = solve_standard(a, target, [0] * len(vectors))
     if status != "optimal":
         return None
     return x
@@ -237,33 +270,21 @@ def minimize(
     m = len(rows)
     if m == 0:
         # No constraints: x = 0 is optimal iff the objective is identically zero.
-        if any(Fraction(x) != 0 for x in objective):
+        if any(x != 0 for x in objective):
             return "unbounded", None, None
         return "optimal", _ZERO, tuple([_ZERO] * n)
-    a_std: list[list[Fraction]] = []
-    b_std: list[Fraction] = []
-    for coeffs, rhs in rows:
+    a_std: list[list[Rat]] = []
+    b_std: list[Rat] = []
+    for i, (coeffs, rhs) in enumerate(rows):
         if len(coeffs) != n:
             raise ValueError("dimension mismatch")
-        pos = [Fraction(x) for x in coeffs]
-        neg = [-x for x in pos]
-        surplus = [_ZERO] * m
-        a_std.append(pos + neg + surplus)
-        b_std.append(Fraction(rhs))
-    for i in range(m):
-        a_std[i][2 * n + i] = Fraction(-1)
-    c_std = [Fraction(x) for x in objective] + [-Fraction(x) for x in objective]
-    c_std += [_ZERO] * m
+        surplus = [0] * m
+        surplus[i] = -1
+        a_std.append([*coeffs, *(-x for x in coeffs), *surplus])
+        b_std.append(rhs)
+    c_std = [*objective, *(-x for x in objective), *[0] * m]
     status, x_std, value = solve_standard(a_std, b_std, c_std)
     if status != "optimal":
         return status, None, None
     point = tuple(x_std[i] - x_std[n + i] for i in range(n))
     return "optimal", value, point
-
-
-def feasible_point(
-    rows: Sequence[tuple[Sequence[Rat], Rat]], n: int
-) -> Optional[Vec]:
-    """Some exact point satisfying every row ⟨a_i, x⟩ ≥ b_i, or None."""
-    status, _, point = minimize([_ZERO] * n, rows)
-    return point if status == "optimal" else None

@@ -1,0 +1,123 @@
+"""The slow reference kernels that the integer fast paths are pinned to.
+
+`lp_oracle` is the simplex the library used before it went fraction-free: a
+dense `Fraction` tableau with Bland's rule, the same two phases and the same
+tie-break, so it makes the same pivots and must return the same
+(status, x, value).  `count_by_box_scan` is the count before the depth-first
+scan: every point of the integer box, each row checked in turn.
+"""
+
+from fractions import Fraction
+from itertools import product
+from typing import Optional
+
+from signedposets.ehrhart import integer_box
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _Tableau:
+    """Dense simplex tableau for `min c·x  s.t.  Ax = b, x ≥ 0` with Bland's rule."""
+
+    def __init__(self, a: list[list[Fraction]], b: list[Fraction]):
+        self.m = len(a)
+        self.nv = len(a[0]) if a else 0
+        rows = []
+        for i in range(self.m):
+            row = a[i][:] if b[i] >= 0 else [-x for x in a[i]]
+            rhs = b[i] if b[i] >= 0 else -b[i]
+            art = [_ONE if j == i else _ZERO for j in range(self.m)]
+            rows.append(row + art + [rhs])
+        self.t = rows
+        self.total = self.nv + self.m
+        self.basis = [self.nv + i for i in range(self.m)]
+
+    def pivot(self, r: int, c: int) -> None:
+        t = self.t
+        inv = 1 / t[r][c]
+        t[r] = [x * inv for x in t[r]]
+        for i in range(self.m):
+            if i != r and t[i][c] != 0:
+                f = t[i][c]
+                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        self.basis[r] = c
+
+    def run(self, cost: list[Fraction], allowed: int) -> str:
+        t = self.t
+        while True:
+            enter = -1
+            for j in range(allowed):
+                if j in self.basis:
+                    continue
+                red = cost[j] - sum(
+                    cost[self.basis[i]] * t[i][j]
+                    for i in range(self.m)
+                    if cost[self.basis[i]] != 0
+                )
+                if red < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal"
+            leave = -1
+            best: Optional[Fraction] = None
+            for i in range(self.m):
+                if t[i][enter] > 0:
+                    ratio = t[i][-1] / t[i][enter]
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def value(self, cost: list[Fraction]) -> Fraction:
+        return sum(
+            (cost[self.basis[i]] * self.t[i][-1] for i in range(self.m)), _ZERO
+        )
+
+    def solution(self) -> list[Fraction]:
+        x = [_ZERO] * self.nv
+        for i, j in enumerate(self.basis):
+            if j < self.nv:
+                x[j] = self.t[i][-1]
+        return x
+
+
+def lp_oracle(a, b, c):
+    """`solve_standard` over `Fraction`: (status, x, value) of `min c·x, Ax = b, x ≥ 0`."""
+    a = [[Fraction(x) for x in row] for row in a]
+    b = [Fraction(x) for x in b]
+    c = [Fraction(x) for x in c]
+    tab = _Tableau(a, b)
+    phase1 = [_ZERO] * tab.nv + [_ONE] * tab.m
+    tab.run(phase1, tab.total)
+    if tab.value(phase1) > 0:
+        return "infeasible", None, None
+    for i in range(tab.m):
+        if tab.basis[i] >= tab.nv:
+            col = next((j for j in range(tab.nv) if tab.t[i][j] != 0), None)
+            if col is not None:
+                tab.pivot(i, col)
+    phase2 = c + [_ZERO] * tab.m
+    if tab.run(phase2, tab.nv) == "unbounded":
+        return "unbounded", None, None
+    return "optimal", tab.solution(), tab.value(phase2)
+
+
+def count_by_box_scan(system, t: int, strict: bool = False) -> int:
+    """|tP ∩ Z^n| (or the strict count) by scanning every point of the integer box."""
+    box = integer_box(system, t)
+    rows = [(row.a, t * row.b) for row in system.rows]
+    count = 0
+    for x in product(*(range(lo, hi + 1) for lo, hi in box)):
+        for a, b in rows:
+            value = sum(ai * xi for ai, xi in zip(a, x))
+            if value < b or (strict and value == b):
+                break
+        else:
+            count += 1
+    return count

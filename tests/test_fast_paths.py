@@ -1,28 +1,41 @@
 """Each integer fast path against its slow route, and the count-cache contract.
 
 The fast paths are: `dot` in integers, the witness-first `row_is_necessary`,
-box bounds solved once at t = 1 and scaled, and the half-open oracle's
-integer viewpoint.  Each is compared with the route it replaced on the whole
-n ≤ 3 catalog.
+box bounds solved once at t = 1 and scaled, the half-open oracle's integer
+viewpoint, the fraction-free simplex and the depth-first lattice count.  Each
+is compared with the route it replaced on the whole n ≤ 3 catalog (the
+simplex on the LPs of a seeded n = 3 sweep and on fuzzed small LPs; the count
+also on seeded n = 4 posets).  The two replaced kernels live in
+`reference_kernels.py`.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from reference_kernels import count_by_box_scan, lp_oracle
+from signedposets import linalg
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.chains import chain_polytope
 from signedposets.ehrhart import count_points, integer_box
+from signedposets.errors import AsymmetryViolation
 from signedposets.geometry import (
     _lp_row_is_necessary,
+    order_polytope,
     order_polytope_irredundant,
     row_is_necessary,
 )
 from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows, rows_from_key
 from signedposets.jordan import half_open_contains_generic, reference_point
-from signedposets.linalg import dot
+from signedposets.linalg import dot, solve_standard
 from signedposets.perms import enumerate_signed_permutations
-from signedposets.verify import subchain_trials
+from signedposets.posets import from_generators
+from signedposets.roots import all_roots
+from signedposets.verify import subchain_trials, verify_poset
 
 CATALOG = [p for n in (1, 2, 3) for p in enumerate_signed_posets(n)]
 
@@ -120,3 +133,108 @@ def test_signed_permutations_are_a_new_list_each_call():
     first.pop()
     assert enumerate_signed_permutations(2) == fresh
     assert enumerate_signed_permutations(2) is not enumerate_signed_permutations(2)
+
+
+def test_simplex_equals_the_fraction_tableau_on_a_seeded_sweep(monkeypatch):
+    lps = []
+
+    def record(a, b, c):
+        lps.append(([list(row) for row in a], list(b), list(c)))
+        return solve_standard(a, b, c)
+
+    monkeypatch.setattr(linalg, "solve_standard", record)
+    for p in random.Random("lp-oracle").sample(CATALOG[36:], 25):
+        verify_poset(p)
+    monkeypatch.undo()
+    statuses = set()
+    for a, b, c in lps:
+        answer = solve_standard(a, b, c)
+        assert answer == lp_oracle(a, b, c), (a, b, c)
+        statuses.add(answer[0])
+    assert len(lps) > 300 and statuses == {"optimal", "infeasible"}
+
+
+# Small LPs over ints or fractions.  Equal rows, multiples and zero
+# right-hand sides make degenerate bases common.
+_entries = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def _small_lps(draw):
+    nv = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    a = draw(st.lists(st.lists(_entries, min_size=nv, max_size=nv), min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(0), _entries), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, m - 1))
+        s = draw(st.sampled_from([1, 2, Fraction(-1, 2)]))
+        a.append([s * x for x in a[k]])
+        b.append(s * b[k])
+    c = draw(st.lists(_entries, min_size=nv, max_size=nv))
+    return a, b, c
+
+
+# Beale's example: Dantzig's rule cycles on it, Bland's rule does not.
+_BEALE = (
+    [
+        [1, 0, 0, Fraction(1, 4), -8, -1, 9],
+        [0, 1, 0, Fraction(1, 2), -12, Fraction(-1, 2), 3],
+        [0, 0, 1, 0, 0, 1, 0],
+    ],
+    [0, 0, 1],
+    [0, 0, 0, Fraction(-3, 4), 20, Fraction(-1, 2), 6],
+)
+
+
+@given(_small_lps())
+@example(_BEALE)
+@example(([[1, 1]], [-1], [1, 1]))  # infeasible
+@example(([[1, -1]], [0], [-1, 0]))  # unbounded
+@example(([[1, 1], [2, 2]], [1, 2], [1, 0]))  # a redundant row
+def test_simplex_equals_the_fraction_tableau_on_small_lps(lp):
+    a, b, c = lp
+    status, x, value = answer = solve_standard(a, b, c)
+    assert answer == lp_oracle(a, b, c)
+    if status == "optimal":
+        assert all(v >= 0 for v in x) and dot(c, x) == value
+        assert all(dot(row, x) == rhs for row, rhs in zip(a, b))
+
+
+def test_simplex_solves_beale_without_cycling():
+    status, x, value = solve_standard(*_BEALE)
+    assert (status, value) == ("optimal", Fraction(-5, 4))
+    assert x == [Fraction(3, 4), 0, 0, 1, 0, 1, 0]
+
+
+def _count_agrees(system, tmax):
+    for t in range(tmax + 1):
+        for strict in (False, True):
+            assert count_points(system, t, strict) == count_by_box_scan(system, t, strict), (
+                system.key, t, strict
+            )
+
+
+def test_depth_first_count_equals_the_box_scan_up_to_n3():
+    for p in CATALOG:
+        for system in (order_polytope(p), order_polytope_irredundant(p), chain_polytope(p)):
+            _count_agrees(system, 3)
+
+
+def _seeded_posets(n, count, seed):
+    rng = random.Random(seed)
+    roots = all_roots(n)
+    posets = []
+    while len(posets) < count:
+        try:
+            posets.append(from_generators(n, rng.sample(roots, rng.randint(1, n))))
+        except AsymmetryViolation:
+            continue
+    return posets
+
+
+def test_depth_first_count_equals_the_box_scan_at_n4():
+    for p in _seeded_posets(4, 30, "count-oracle:4"):
+        for system in (order_polytope(p), order_polytope_irredundant(p), chain_polytope(p)):
+            _count_agrees(system, 3)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from signedposets.linalg import (
     det,
     dot,
-    feasible_point,
     minimize,
     nonneg_combination,
     rank,
@@ -108,11 +107,3 @@ def test_minimize_no_constraints():
     assert minimize([0, 0], [])[0] == "optimal"
     assert minimize([1, 0], [])[0] == "unbounded"
 
-
-def test_feasible_point_satisfies_rows():
-    rows = [((1, 0), 2), ((0, 1), -1), ((-1, -1), -5)]
-    point = feasible_point(rows, 2)
-    assert point is not None
-    for a, b in rows:
-        assert dot(a, point) >= b
-    assert feasible_point([((1, 0), 1), ((-1, 0), 0)], 2) is None

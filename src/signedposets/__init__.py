@@ -56,6 +56,7 @@ from .gorenstein import (
     is_gorenstein,
     is_graded,
     maximal_chains,
+    minimal_fischer_representation,
 )
 from .halfspaces import Halfspace, HalfspaceSystem
 from .jordan import (
@@ -133,6 +134,7 @@ __all__ = [
     "iter_signed_posets",
     "jordan_holder",
     "maximal_chains",
+    "minimal_fischer_representation",
     "minimal_representation",
     "natdes",
     "naturalize",

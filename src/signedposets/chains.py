@@ -160,7 +160,8 @@ def verify_antichain_characterization(p: SignedPoset) -> dict:
 def is_reflexive(system: HalfspaceSystem) -> bool:
     """Every row, normalized to ⟨a, x⟩ ≤ b with gcd(a) = 1, must have b = 1.
 
-    `verify.check_chain_polytope` cross-checks this by counting points.
+    This is the row half of Hibi's criterion; the other half, a lattice
+    polytope, is what `verify.check_chain_polytope` tests by counting points.
     """
     for row in system.rows:
         # ⟨a, x⟩ ≥ b  ⟺  ⟨−a, x⟩ ≤ −b

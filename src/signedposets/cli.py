@@ -51,7 +51,13 @@ from .geometry import (
     signed_filters,
     vertices,
 )
-from .gorenstein import check_fischer_symmetry, fischer_representation, hasse_dot, is_graded
+from .gorenstein import (
+    check_fischer_symmetry,
+    fischer_representation,
+    hasse_dot,
+    is_graded,
+    minimal_fischer_representation,
+)
 from .jordan import is_naturally_labeled, jh_representative, jordan_holder, natdes
 from .posetfile import parse_poset
 from .posets import minimal_representation, to_bidirected_graph, bidirected_dot
@@ -174,7 +180,7 @@ def cmd_gorenstein(args, doc, p):
 
 
 def cmd_fischer(args, doc, p):
-    q = fischer_representation(p)
+    q = minimal_fischer_representation(p)
     report = is_graded(q)
     results = {
         "poset": q.to_json_dict(),
@@ -186,7 +192,7 @@ def cmd_fischer(args, doc, p):
         _write(args.dot, hasse_dot(q))
         results["dot"] = args.dot
     verification = {
-        "centrally_symmetric": check_fischer_symmetry(q),
+        "centrally_symmetric": check_fischer_symmetry(fischer_representation(p)),
         "halfspaces_match_order_polytope": check_fischer_halfspaces(p).passed,
     }
     return results, verification, f"Fischer poset: {len(q.lt)} relations, graded = {report.graded}"
@@ -290,7 +296,7 @@ COMMANDS = {
     "ehrhart": (cmd_ehrhart, "Ehrhart polynomial of O_P", _FILE_ARGS + (
         ("--t", {"type": _dilate, "default": None, "help": "also count at this dilate"}),)),
     "gorenstein": (cmd_gorenstein, "Gorenstein test with the cross-checked triple", _FILE_ARGS),
-    "fischer": (cmd_fischer, "Fischer representation on {-n..n}", _FILE_ARGS + (_DOT,)),
+    "fischer": (cmd_fischer, "Fischer representation of M on {-n..n}", _FILE_ARGS + (_DOT,)),
     "chain-polytope": (cmd_chain_polytope, "signed chains and C_P", _FILE_ARGS),
     "antichains": (cmd_antichains, "antichains and the C_P lattice-point match", _FILE_ARGS),
     "compare": (cmd_compare, "O_P versus C_P", _FILE_ARGS),

@@ -1,9 +1,11 @@
-"""Brute-force lattice-point counting and exact Ehrhart/h* machinery.
+"""Exact lattice-point counting and Ehrhart/h* machinery.
 
-Counting is direct enumeration over an integer box with early row rejection;
-the box comes from single-coordinate rows when possible and otherwise from
-exact LP bounds, solved once per system at t = 1 and scaled to each dilate.
-Counts are cached on the systems' integer rows in an LRU cache of fixed size.
+Counting is a depth-first scan of an integer box in integers: each row's
+partial sum bounds the next coordinate to an interval, which prunes branches
+and counts the last coordinate without a loop.  The box comes from
+single-coordinate rows when possible and otherwise from exact LP bounds,
+solved once per system at t = 1 and scaled to each dilate.  Counts are
+cached on the systems' integer rows in an LRU cache of fixed size.
 Interpolation uses the nodes t = 0..n, the smallest exact determining set for
 a degree-n polynomial.
 """
@@ -178,7 +180,7 @@ def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -
 
 
 def count_points(system: HalfspaceSystem, t: int, strict: bool = False) -> int:
-    """|tP ∩ Z^n| (or the strict-interior count) by box enumeration.
+    """|tP ∩ Z^n| (or the strict-interior count) by a depth-first box scan.
 
     Cached on the rows' integers (`system.key`), so systems that differ only
     in labels share an entry, in an LRU cache of 4,096 entries: the

@@ -1,10 +1,13 @@
 """Fischer representation on [−n, n] and the Gorenstein characterization.
 
-A signed poset P turns into a classical poset Ĝ(P) on the 2n+1 labels
-−n..n via five generation rules (one per root shape), transitively closed.
-O_P is Gorenstein exactly when Ĝ(P) is graded; the library answer comes from
-chain lengths, and `verify.check_gorenstein_triple` cross-checks it against
-both the palindromic-h* and the counting characterizations.
+A set of roots turns into a classical poset on the 2n+1 labels −n..n via five
+generation rules (one per root shape), transitively closed: Ĝ(P) from all of
+a signed poset P, Ĝ(M) from its minimal representation M.  O_P is Gorenstein
+exactly when Ĝ(M) is graded (checked on every n ≤ 4 poset); the library
+answer comes from chain lengths, and `verify.check_gorenstein_triple`
+cross-checks it against both the palindromic-h* and the counting
+characterizations.  Ĝ(P), which has every relation P implies, is the one
+held to Fischer's central symmetry.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Optional
 
 from .errors import CycleDetected, OracleMismatch
 from .halfspaces import Halfspace, HalfspaceSystem, cube_rows, dedupe_rows
-from .posets import SignedPoset
+from .posets import SignedPoset, minimal_representation
 
 
 @dataclass(frozen=True)
@@ -56,14 +59,35 @@ def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
 
 
 def fischer_representation(p: SignedPoset) -> ClassicalPoset:
-    """Ĝ(P): generators per root shape, transitively closed, antisymmetry asserted.
+    """Ĝ(P): generators per root of P, transitively closed, antisymmetry asserted.
 
     Rules (a, b are the support indices of a two-index root, read with signs):
     −e_a+e_b gives a<b and −b<−a; −e_a−e_b gives a<−b and b<−a;
     e_a+e_b gives −a<b and −b<a; −e_a gives a<0 and 0<−a; e_a gives −a<0 and 0<a.
     """
+    return _fischer_closure(p, p.roots)
+
+
+def minimal_fischer_representation(p: SignedPoset) -> ClassicalPoset:
+    """Ĝ(M): the same rules on the minimal representation M of P only.
+
+    Its gradedness decides whether O_P is Gorenstein.  A root of P ∖ M is a
+    positive combination of others and cuts no facet of O_P, but in Ĝ(P) its
+    relations still add covers.  For P = plc(−e1 ± e2, −e1 ± e3, −e1 ± e4,
+    −e2 + e3, −e2 − e4, −e3 − e4), −e1 = ½(−e1 + e2) + ½(−e1 − e2) is not in
+    M; Ĝ(P) has the chain 1 < 0 < −1 next to chains of length 4 and is not
+    graded, although O_P is Gorenstein (h* = 1 + 6z + z²).  Ĝ(M) is graded.
+    Since plc(M) = P, the rows of Ĝ(M) still describe O_P.  Ĝ(M) need not
+    satisfy `check_fischer_symmetry`'s rule −i<i ⟹ −i<0<i, which comes from
+    the closure of P: for fig1, M = {−e1+e2, e1+e2} gives −2 < 2 and leaves
+    out e2.
+    """
+    return _fischer_closure(p, minimal_representation(p))
+
+
+def _fischer_closure(p: SignedPoset, roots) -> ClassicalPoset:
     pairs: set[tuple[int, int]] = set()
-    for alpha in p.roots:
+    for alpha in roots:
         if len(alpha.entries) == 1:
             ((i, s),) = alpha.entries
             if s > 0:
@@ -178,12 +202,12 @@ def canonical_interior_point(report: GradedReport, n: int) -> tuple[int, ...]:
 
 
 def is_gorenstein(p: SignedPoset) -> bool:
-    """Gradedness of Ĝ(P), the fast answer.
+    """Gradedness of Ĝ(M), the fast answer.
 
     `verify.check_gorenstein_triple` cross-checks it against the counting
     Gorenstein index and the palindromicity of h*.
     """
-    return is_graded(fischer_representation(p)).graded
+    return is_graded(minimal_fischer_representation(p)).graded
 
 
 def fischer_halfspaces(q: ClassicalPoset) -> HalfspaceSystem:

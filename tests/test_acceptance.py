@@ -94,7 +94,7 @@ def test_criterion_6_unimodal_when_gorenstein(sweep, acceptance_detail):
 
 def test_criterion_7_chain_polytope(sweep, acceptance_detail):
     assert all_pass(sweep, "chain-polytope")
-    acceptance_detail("antichains = points, reflexive rows+counts, 0 interior")
+    acceptance_detail("antichains = points, reflexive rows, polynomial counts, 0 interior")
 
 
 def test_criterion_8_order_chain_non_equivalence(acceptance_detail):

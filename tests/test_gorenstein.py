@@ -3,7 +3,7 @@
 import pytest
 
 from signedposets.catalog import iter_signed_posets
-from signedposets.ehrhart import count_points, integer_box
+from signedposets.ehrhart import count_points, hstar_from_counts, integer_box, is_palindromic
 from signedposets.errors import CycleDetected
 from signedposets.geometry import order_polytope
 from signedposets.gorenstein import (
@@ -17,8 +17,9 @@ from signedposets.gorenstein import (
     is_gorenstein,
     is_graded,
     maximal_chains,
+    minimal_fischer_representation,
 )
-from signedposets.posets import SignedPoset, from_generators
+from signedposets.posets import SignedPoset, from_generators, minimal_representation
 from signedposets.roots import parse_root
 from signedposets.verify import check_gorenstein_triple
 
@@ -166,3 +167,27 @@ def test_hasse_dot_output():
     assert "0 [shape=doublecircle, style=bold];" in dot
     assert '"-2" -> "0";' in dot
     assert dot.rstrip().endswith("}")
+
+
+def test_gorenstein_from_the_minimal_representation_at_n4():
+    # -1 is in P but not in M (-e1 = ½(-e1+e2) + ½(-e1-e2)); its relations
+    # 1 < 0 < -1 made Ĝ(P) ungraded although h* = 1 + 6z + z² is palindromic.
+    p = mk(4, "-1 -1-2 -1+2 -1-3 -1+3 -1-4 -1+4 -2+3 -2-4 -3-4".split())
+    assert parse_root("-1") in p.roots - minimal_representation(p)
+    assert not is_graded(fischer_representation(p)).graded
+    report = is_graded(minimal_fischer_representation(p))
+    assert report.graded and gorenstein_index_from_grading(report) == 3
+    assert canonical_interior_point(report, 4) == (-2, -1, 0, -1)
+    check = check_gorenstein_triple(p)
+    assert check.passed, check.detail
+    assert check.detail["counting_index"] == 3 and check.detail["fischer_symmetric"]
+    assert is_gorenstein(p)
+
+
+@pytest.mark.parametrize("n, expected", [(1, 3), (2, 17), (3, 363)])
+def test_gorenstein_count_equals_palindromic_hstar(n, expected):
+    flags = [is_gorenstein(p) for p in iter_signed_posets(n)]
+    assert flags == [
+        is_palindromic(hstar_from_counts(order_polytope(p), n)) for p in iter_signed_posets(n)
+    ]
+    assert sum(flags) == expected

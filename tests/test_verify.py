@@ -3,6 +3,8 @@
 import re
 
 from signedposets import verify
+from signedposets.ehrhart import count_points
+from signedposets.halfspaces import Halfspace, HalfspaceSystem
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
 from signedposets.verify import (
@@ -123,3 +125,17 @@ def test_verify_catalog_logs_progress():
     # fewer than 100 posets: only the closing line
     assert len(lines) == 1
     assert re.fullmatch(r"verified 33/33 posets on \[2\] \(\d+\.\d/s, ETA 0 s\)", lines[0])
+
+
+def test_chain_polytope_check_rejects_a_rational_polytope_with_reflexive_rows(monkeypatch):
+    # Every row is primitive with b = −1, but (−1/3, −1/3) is a vertex.  The
+    # old test, strict(t + 1) = weak(t), holds for any such rows and passed.
+    rows = ((-1, 0), (0, -1), (1, 2), (2, 1))
+    system = HalfspaceSystem(2, tuple(Halfspace(a, -1) for a in rows))
+    monkeypatch.setattr(verify, "chain_polytope", lambda p: system)
+    check = verify.check_chain_polytope(mk(2, []))
+    assert check.detail["reflexive_rows"] and not check.detail["polynomial_counts"]
+    assert not check.passed
+    assert all(
+        count_points(system, t + 1, strict=True) == count_points(system, t) for t in range(4)
+    )

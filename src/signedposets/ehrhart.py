@@ -137,7 +137,8 @@ def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -
     them its partial sum and bound do not move.
     """
     n = len(box)
-    # reach[d] of a row: the largest Σ_{k ≥ d} a_k·x_k over the box.
+    # levels[d]: (row, a_d, b − the largest Σ_{k > d} a_k·x_k over the box)
+    # for each row nonzero at d.
     levels: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for r, (a, b) in enumerate(rows):
         reach = 0
@@ -147,7 +148,7 @@ def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -
                 levels[d].append((r, c, b - reach))
                 lo, hi = box[d]
                 reach += c * (hi if c > 0 else lo)
-        if reach < b:
+        if reach < b:  # no point of the box satisfies this row
             return 0
     partial = [0] * len(rows)
     last = n - 1

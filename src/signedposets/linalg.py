@@ -124,8 +124,9 @@ class _Tableau:
         self.nv = len(a[0]) if a else 0
         # Flip rows so the right-hand side is nonnegative, then append an
         # artificial identity; the artificial variables form the initial
-        # basis.  Each row is scaled to integers and the tableau to one
-        # denominator, which scaling rows does not change.
+        # basis.  Each row is scaled to integers (scaling a row, artificial
+        # column included, leaves the exact tableau as it is), and d starts
+        # as the product of the row scales, the determinant of that basis.
         scaled = [_integers([*row, rhs]) for row, rhs in zip(a, b)]
         self.d = math.prod(scale for scale, _ in scaled)
         rows = []

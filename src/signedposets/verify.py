@@ -315,11 +315,11 @@ def check_fischer_halfspaces(p: SignedPoset, t_max: int = 3) -> CheckResult:
     fh = fischer_halfspaces(minimal_fischer_representation(p))
     passed = all(
         all(
-            q.contains(x) == system.contains(x)
+            fischer.contains(x) == system.contains(x)
             for x in product((-1, 0, 1), repeat=p.n)
         )
-        and count_points(q, 2) == count_points(system, 2)
-        for q in (fh, fischer_halfspaces(fischer_representation(p)))
+        and count_points(fischer, 2) == count_points(system, 2)
+        for fischer in (fh, fischer_halfspaces(fischer_representation(p)))
     )
     return CheckResult("fischer-halfspaces", passed, {"rows": len(fh.rows)})
 

@@ -13,6 +13,7 @@ signed indices concatenated, smaller index first: ``+2``, ``-1``, ``+1+2``,
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -71,7 +72,8 @@ class Root:
         return tuple(v)
 
     def token(self) -> str:
-        return "".join(f"{'+' if s > 0 else '-'}{i}" for i, s in self.entries)
+        # Interned: reports that keep their posets' tokens share the strings.
+        return sys.intern("".join(f"{'+' if s > 0 else '-'}{i}" for i, s in self.entries))
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return self.token()

@@ -139,3 +139,12 @@ def test_chain_polytope_check_rejects_a_rational_polytope_with_reflexive_rows(mo
     assert all(
         count_points(system, t + 1, strict=True) == count_points(system, t) for t in range(4)
     )
+
+
+def test_reports_share_one_layout_and_rebuild_their_checks():
+    p, q = mk(2, ["+1"]), mk(2, ["+2"])
+    first, second = verify_poset(p), verify_poset(q)
+    assert first.layout is second.layout
+    assert first.tokens[0] is verify_poset(p).tokens[0]
+    assert first.checks == tuple(check(p, 3) for _, check in ALL_CHECKS)
+    assert first.failures() == [] and first.passed

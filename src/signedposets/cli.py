@@ -296,7 +296,7 @@ COMMANDS = {
     "ehrhart": (cmd_ehrhart, "Ehrhart polynomial of O_P", _FILE_ARGS + (
         ("--t", {"type": _dilate, "default": None, "help": "also count at this dilate"}),)),
     "gorenstein": (cmd_gorenstein, "Gorenstein test with the cross-checked triple", _FILE_ARGS),
-    "fischer": (cmd_fischer, "Fischer representation of M on {-n..n}", _FILE_ARGS + (_DOT,)),
+    "fischer": (cmd_fischer, "Fischer poset of the minimal representation", _FILE_ARGS + (_DOT,)),
     "chain-polytope": (cmd_chain_polytope, "signed chains and C_P", _FILE_ARGS),
     "antichains": (cmd_antichains, "antichains and the C_P lattice-point match", _FILE_ARGS),
     "compare": (cmd_compare, "O_P versus C_P", _FILE_ARGS),

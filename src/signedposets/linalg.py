@@ -5,9 +5,9 @@ tolerance anywhere in the package.  `dot` stays in integers on integer input.
 The simplex is fraction-free: rational data are scaled to integers on entry,
 and the tableau is kept as integers over one common denominator, updated by
 Bareiss steps; only the answers come back as `fractions.Fraction`.  `rank`,
-`det` and `solve_square` eliminate over `Fraction`.  The LPs solved are tiny
-(at most a few dozen equations and variables), so a dense tableau with
-Bland's anti-cycling rule is entirely adequate.
+`det` and `solve_square` eliminate over `Fraction`.  The LPs solved are
+small, so a dense tableau with Bland's anti-cycling rule is entirely
+adequate.
 """
 
 from __future__ import annotations

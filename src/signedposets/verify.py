@@ -94,9 +94,9 @@ class PosetReport:
     Sweeps, and callers that keep every report, hold many of these.  So the
     names, verdicts and detail keys of the checks are one `layout` tuple,
     shared by every report with the same layout, and the detail values are
-    one flat tuple; `checks` rebuilds the `CheckResult`s.  An n = 3 report
-    holds about 1 KB this way, against 4 KB as a tuple of `CheckResult`s
-    with their dicts.
+    one flat tuple; `checks` rebuilds the `CheckResult`s.  A process that
+    keeps n = 3 reports grows by about 1.9 KB a report this way, against
+    4.8 KB for a tuple of `CheckResult`s with their dicts.
     """
 
     n: int

@@ -143,6 +143,7 @@ def test_simplex_equals_the_fraction_tableau_on_a_seeded_sweep(monkeypatch):
         return solve_standard(a, b, c)
 
     monkeypatch.setattr(linalg, "solve_standard", record)
+    count_points.cache_clear()  # so the box LPs are solved, whatever ran before
     for p in random.Random("lp-oracle").sample(CATALOG[36:], 25):
         verify_poset(p)
     monkeypatch.undo()
@@ -193,6 +194,8 @@ _BEALE = (
 @example(([[1, 1]], [-1], [1, 1]))  # infeasible
 @example(([[1, -1]], [0], [-1, 0]))  # unbounded
 @example(([[1, 1], [2, 2]], [1, 2], [1, 0]))  # a redundant row
+# A tie in the ratio test: taking the larger basic index gives another optimum.
+@example(([[1, 2, 1, 2, 1], [-1, -1, -1, 0, 1]], [1, 0], [-1, -1, 2, 1, 1]))
 def test_simplex_equals_the_fraction_tableau_on_small_lps(lp):
     a, b, c = lp
     status, x, value = answer = solve_standard(a, b, c)
@@ -220,6 +223,25 @@ def test_depth_first_count_equals_the_box_scan_up_to_n3():
     for p in CATALOG:
         for system in (order_polytope(p), order_polytope_irredundant(p), chain_polytope(p)):
             _count_agrees(system, 3)
+
+
+@st.composite
+def _boxed_systems(draw):
+    # The cube [−1, 1]^n bounds every dilate without an LP; the extra rows
+    # have coefficients beyond ±1, which no O_P or C_P row has.
+    n = draw(st.integers(1, 3))
+    extra = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-3, 1)), max_size=3
+        )
+    )
+    rows = list(cube_rows(n)) + [Halfspace(a, b) for a, b in extra]
+    return HalfspaceSystem(n, tuple(rows))
+
+
+@given(_boxed_systems(), st.integers(0, 3), st.booleans())
+def test_depth_first_count_equals_the_box_scan_on_general_rows(system, t, strict):
+    assert count_points(system, t, strict) == count_by_box_scan(system, t, strict)
 
 
 def _seeded_posets(n, count, seed):

@@ -14,8 +14,9 @@ import json
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from signedposets.catalog import census, iter_signed_posets, naturally_labeled_count
 from signedposets.gorenstein import is_gorenstein

@@ -14,8 +14,9 @@ import argparse
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from signedposets.catalog import iter_signed_posets
 from signedposets.chains import compare_order_chain

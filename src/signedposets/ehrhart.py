@@ -2,10 +2,11 @@
 
 Counting is a depth-first scan of an integer box in integers: each row's
 partial sum bounds the next coordinate to an interval, which prunes branches
-and counts the last coordinate without a loop.  The box comes from
-single-coordinate rows when possible and otherwise from exact LP bounds,
-solved once per system at t = 1 and scaled to each dilate.  Counts are
-cached on the systems' integer rows in an LRU cache of fixed size.
+and counts the last coordinate without a loop.  The box comes from the rows
+with a single nonzero coordinate, by one integer formula for every dilate;
+no LP is solved here.  Every system the library counts has such rows on each
+coordinate side (O_P's and C_P's cube rows among them).  Counts are cached on
+the systems' integer rows in an LRU cache of fixed size.
 Interpolation uses the nodes t = 0..n, the smallest exact determining set for
 a degree-n polynomial.
 """
@@ -24,7 +25,6 @@ from .errors import (
     UnboundedSystem,
 )
 from .halfspaces import HalfspaceSystem, Rows, rows_from_key
-from .linalg import minimize
 
 Poly = tuple[Fraction, ...]
 
@@ -39,90 +39,54 @@ def poly_eval(coeffs: Sequence[Fraction | int], t) -> Fraction:
     return total
 
 
-def _lp_bound(n: int, rows: Rows, t: int, coord: int, sign: int) -> Fraction:
-    """Exact min (sign=+1) or −max (sign=−1) of x_coord over the t-dilate."""
-    objective = [0] * n
-    objective[coord] = sign
-    status, value, _ = minimize(objective, [(a, Fraction(t * b)) for a, b in rows])
-    if status == "unbounded":
-        raise UnboundedSystem(
-            f"coordinate {coord + 1} is unbounded; cannot count lattice points"
-        )
-    if status == "infeasible":
-        raise _EmptySystem()
-    return value
-
-
-class _EmptySystem(Exception):
-    """Internal: the dilate is empty, so every count is zero."""
-
-
-def _box(n: int, rows: Rows, t: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Rational per-coordinate bounds of the t-dilate, solved at t itself.
-
-    Rows supported on a single coordinate give bounds syntactically; any side
-    still missing comes from an exact LP.
-    """
-    lo: list[Optional[Fraction]] = [None] * n
-    hi: list[Optional[Fraction]] = [None] * n
+def _integer_box(n: int, rows: Rows, t: int) -> list[tuple[int, int]]:
+    """Integer bounds of each coordinate over the t-dilate, from its
+    single-coordinate rows: c·x_i ≥ t·b gives x_i ≥ ⌈t·b/c⌉ when c > 0 and
+    x_i ≤ ⌊t·b/c⌋ when c < 0."""
+    lo: list[Optional[int]] = [None] * n
+    hi: list[Optional[int]] = [None] * n
     for a, b in rows:
         support = [i for i, c in enumerate(a) if c != 0]
         if len(support) != 1:
             continue
         (i,) = support
         c = a[i]
-        bound = Fraction(t * b, c)
         if c > 0:
+            bound = -(-t * b // c)
             lo[i] = bound if lo[i] is None else max(lo[i], bound)
         else:
+            bound = t * b // c
             hi[i] = bound if hi[i] is None else min(hi[i], bound)
-    return tuple(
-        (
-            lo[i] if lo[i] is not None else _lp_bound(n, rows, t, i, 1),
-            hi[i] if hi[i] is not None else -_lp_bound(n, rows, t, i, -1),
-        )
-        for i in range(n)
-    )
-
-
-# A verify_poset at n = 3 solves the t = 1 boxes of at most four systems and
-# reuses them within the call; 16 entries hit as often as 1,024 do.
-@lru_cache(maxsize=16)
-def _unit_box(key: tuple[int, ...]) -> tuple[tuple[Fraction, Fraction], ...]:
-    return _box(*rows_from_key(key), 1)
-
-
-def _integer_box(key: tuple[int, ...], t: int) -> list[tuple[int, int]]:
-    if t == 0:
-        box = _box(*rows_from_key(key), 0)
-        return [(math.ceil(low), math.floor(high)) for low, high in box]
-    return [(math.ceil(t * low), math.floor(t * high)) for low, high in _unit_box(key)]
+    for i in range(n):
+        if lo[i] is None or hi[i] is None:
+            side = "below" if lo[i] is None else "above"
+            raise UnboundedSystem(
+                f"no single-coordinate row bounds coordinate {i + 1} {side}; "
+                "cannot count lattice points"
+            )
+    return list(zip(lo, hi))
 
 
 def integer_box(system: HalfspaceSystem, t: int) -> list[tuple[int, int]]:
-    """Per-coordinate integer bounds enclosing the t-dilate.
+    """Per-coordinate integer bounds enclosing the t-dilate, t = 0 included.
 
-    Rows supported on a single coordinate give bounds syntactically; any side
-    still missing comes from an exact LP.  For t ≥ 1 the bounds are solved
-    once, at t = 1, and scaled: min over tP is t times min over P.  t = 0 (the
-    recession cone) is solved on its own.
+    Only rows with a single nonzero coordinate give bounds; a system with a
+    coordinate side that no such row bounds raises `UnboundedSystem`, even
+    when rows on several coordinates bound it.
     """
-    return _integer_box(system.key, t)
+    return _integer_box(*rows_from_key(system.key), t)
 
 
 @lru_cache(maxsize=4096)
 def _count(key: tuple[int, ...], t: int, strict: bool) -> int:
     if t < 0:
         raise ValueError("dilation factor must be nonnegative")
-    try:
-        box = _integer_box(key, t)
-    except _EmptySystem:
-        return 0
+    n, rows = rows_from_key(key)
+    box = _integer_box(n, rows, t)
     if any(lo > hi for lo, hi in box):
         return 0
     # In integers a strict row ⟨a, x⟩ > t·b is ⟨a, x⟩ ≥ t·b + 1.
-    rows = [(a, t * b + strict) for a, b in rows_from_key(key)[1]]
-    return _scan(box, rows)
+    return _scan(box, [(a, t * b + strict) for a, b in rows])
 
 
 def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -> int:
@@ -188,18 +152,14 @@ def count_points(system: HalfspaceSystem, t: int, strict: bool = False) -> int:
     verification sweeps ask for the same counts many times (h*, reciprocity
     and the Gorenstein index all sit on the same values).
     `count_points.cache_info()` and `count_points.cache_clear()` work as for
-    `functools.lru_cache`; clearing also drops the cached t = 1 box bounds.
+    `functools.lru_cache`.  The box comes from single-coordinate rows only
+    (see `integer_box`), so a system without them raises `UnboundedSystem`.
     """
     return _count(system.key, t, strict)
 
 
-def _cache_clear() -> None:
-    _count.cache_clear()
-    _unit_box.cache_clear()
-
-
 count_points.cache_info = _count.cache_info
-count_points.cache_clear = _cache_clear
+count_points.cache_clear = _count.cache_clear
 
 
 def ehrhart_polynomial(system: HalfspaceSystem, n: Optional[int] = None) -> Poly:

@@ -45,7 +45,8 @@ class OracleMismatch(SignedPosetError):
 
 
 class UnboundedSystem(SignedPosetError):
-    """A halfspace system has no derivable bounding box, so it cannot be counted."""
+    """A coordinate side of a halfspace system has no single-coordinate row
+    bounding it, so its lattice points cannot be counted."""
 
 
 class NonIntegralHstar(SignedPosetError):

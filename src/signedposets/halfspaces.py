@@ -64,12 +64,6 @@ class HalfspaceSystem:
                 return False
         return True
 
-    def without(self, index: int) -> "HalfspaceSystem":
-        """The system with one row dropped (for redundancy probing)."""
-        return HalfspaceSystem(
-            self.n, tuple(r for i, r in enumerate(self.rows) if i != index)
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -72,7 +72,11 @@ class SignedPermutation:
         return f"SignedPermutation({list(self.images)!r})"
 
 
-def enumerate_signed_permutations(n: int, limit: int = 9) -> list[SignedPermutation]:
+# The largest n whose group is built: S_9^B has 185,794,560 elements.
+MAX_GROUP_N = 9
+
+
+def enumerate_signed_permutations(n: int) -> list[SignedPermutation]:
     """All 2^n·n! signed permutations, ascending lexicographic by one-line word.
 
     The groups of the two most recently asked n are kept (n = 5 has 3,840
@@ -86,10 +90,8 @@ def enumerate_signed_permutations(n: int, limit: int = 9) -> list[SignedPermutat
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > limit:
-        raise ValueError(
-            f"refusing to enumerate S_{n}^B = {2**n} * {n}! elements; raise limit= to force"
-        )
+    if n > MAX_GROUP_N:
+        raise ValueError(f"refusing to enumerate S_{n}^B = {2**n} * {n}! elements")
     return list(_group(n))
 
 

@@ -1,10 +1,11 @@
 """Cross-oracle verification suites.
 
 Every structural claim the library makes is re-checked here by an
-independent route: descent-counted h* against lattice-point-counted h*,
-irredundancy certified by integer witnesses or the LP against brute lattice
-scans, the half-open triangulation against plain point membership, Fischer
-gradedness against counting Gorenstein indices, the chain polytope's
+independent route: descent-counted h* against lattice-point-counted h*; the
+irredundant description's rows certified necessary by integer witnesses or
+the LP, its containment in the cube proved by the LP, and its lattice counts
+against O_P's; the half-open triangulation against plain point membership;
+Fischer gradedness against counting Gorenstein indices; the chain polytope's
 interpolated Ehrhart polynomial against counts past its nodes.  A failed
 check is report content; the library itself only raises when its own
 postconditions break.
@@ -41,6 +42,7 @@ from .ehrhart import (
     reciprocity_check,
 )
 from .geometry import (
+    _lp_row_is_necessary,
     homogenized_poset,
     interior_point,
     order_cone,
@@ -78,6 +80,10 @@ from .posets import (
     minimal_representation,
     to_bidirected_graph,
 )
+
+
+# The checks that count dilates, and the triangulation, look at t = 1..T_MAX.
+T_MAX = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,7 +168,7 @@ def _lattice_points(system: HalfspaceSystem, t: int) -> list[tuple[int, ...]]:
     ]
 
 
-def check_minimal_representation(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_minimal_representation(p: SignedPoset) -> CheckResult:
     """The bitmask kernel's M against the LP.
 
     P is LP-closed (no root outside P lies in cone(P)), no m ∈ M lies in
@@ -181,7 +187,7 @@ def check_minimal_representation(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-def check_jordan_holder(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_jordan_holder(p: SignedPoset) -> CheckResult:
     jh = jordan_holder(p)
     omega, image = naturalize(p)
     image_jh = jordan_holder(image)
@@ -193,7 +199,7 @@ def check_jordan_holder(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-def check_interior_point(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_interior_point(p: SignedPoset) -> CheckResult:
     q = interior_point(p)
     ok = order_polytope(p).contains(q, strict=True)
     return CheckResult(
@@ -201,7 +207,7 @@ def check_interior_point(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-def check_hstar_oracles(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_hstar_oracles(p: SignedPoset) -> CheckResult:
     by_desc = hstar_by_descents(p)
     by_count = hstar_from_counts(order_polytope(p), p.n)
     jh_size = len(jordan_holder(p))
@@ -217,7 +223,7 @@ def check_hstar_oracles(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-def check_ehrhart_reciprocity(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_ehrhart_reciprocity(p: SignedPoset) -> CheckResult:
     system = order_polytope(p)
     ehr = ehrhart_polynomial(system, p.n)
     degree_ok = len(ehr) == p.n + 1 and ehr[-1] > 0
@@ -228,7 +234,7 @@ def check_ehrhart_reciprocity(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-def check_filters_vertices(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_filters_vertices(p: SignedPoset) -> CheckResult:
     filters = signed_filters(p)
     verts = vertices(p)
     counted = count_points(order_polytope(p), 1)
@@ -246,21 +252,52 @@ def check_filters_vertices(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-def check_irredundant_description(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_irredundant_description(p: SignedPoset) -> CheckResult:
+    """irr, the rows of M plus the cube rows of pmax and nmax, is O_P, and
+    each of its rows is necessary.
+
+    irr keeps a subset of O_P's rows, so O_P ⊆ irr.  Each cube row irr leaves
+    out holds on irr: by one of irr's single-coordinate rows where one
+    implies it, and by the LP on the other sides (an implied row has no
+    integer witness, so the LP is asked directly).  Adding those cube rows
+    to irr then leaves it the same polytope, which, unlike irr, has a box to
+    count in; its counts must equal O_P's at t = 1..T_MAX.
+    """
     full = order_polytope(p)
     irr = order_polytope_irredundant(p)
+    kept = {(row.a, row.b) for row in irr.rows}
+    subset = kept <= {(row.a, row.b) for row in full.rows}
+    left_out = tuple(row for row in cube_rows(p.n) if (row.a, row.b) not in kept)
+    in_cube = all(_holds_on(irr, row) for row in left_out)
+    boxed = HalfspaceSystem(p.n, irr.rows + left_out)
     same_points = all(
-        count_points(full, t) == count_points(irr, t) for t in range(1, t_max + 1)
+        count_points(full, t) == count_points(boxed, t) for t in range(1, T_MAX + 1)
     )
     all_needed = all(row_is_necessary(irr, i) for i in range(len(irr.rows)))
     return CheckResult(
         "irredundant-description",
-        same_points and all_needed and len(irr.rows) <= len(full.rows),
+        subset and in_cube and same_points and all_needed,
         {"full_rows": len(full.rows), "irredundant_rows": len(irr.rows)},
     )
 
 
-def check_triangulation(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def _holds_on(system: HalfspaceSystem, row: Halfspace) -> bool:
+    """Whether the row ±x_i ≥ b holds on all of the system: by a row
+    c·x_i ≥ b' of it with c of the same sign and b'/|c| ≥ b, else by the LP."""
+    (i,) = [k for k, c in enumerate(row.a) if c != 0]
+    for other in system.rows:
+        c = other.a[i]
+        if (
+            c * row.a[i] > 0
+            and other.b >= row.b * abs(c)
+            and not any(other.a[:i] + other.a[i + 1 :])
+        ):
+            return True
+    probe = HalfspaceSystem(system.n, system.rows + (row,))
+    return not _lp_row_is_necessary(probe, len(system.rows))
+
+
+def check_triangulation(p: SignedPoset) -> CheckResult:
     """Half-open cells of the naturalized image partition every dilate."""
     _, image = naturalize(p)
     system = order_polytope(image)
@@ -272,7 +309,7 @@ def check_triangulation(p: SignedPoset, t_max: int = 3) -> CheckResult:
     partition_ok = True
     oracle_ok = True
     bad: Optional[dict] = None
-    for t in range(1, t_max + 1):
+    for t in range(1, T_MAX + 1):
         for x in _lattice_points(system, t):
             owners = sum(1 for c in cells if half_open_contains(c, x, t))
             if owners != 1:
@@ -292,22 +329,17 @@ def check_triangulation(p: SignedPoset, t_max: int = 3) -> CheckResult:
         if not (partition_ok and oracle_ok):
             break
 
-    strict_hist = Counter(len(c.strict_positions) for c in cells)
-    width = max(strict_hist) + 1 if strict_hist else 1
-    image_hstar = tuple(strict_hist.get(j, 0) for j in range(width))
-    hstar_ok = pad_equal(image_hstar, hstar_by_descents(p))
-
     detail = {"cells": len(jh), "unimodular": unimodular}
     if bad:
         detail["counterexample"] = bad
     return CheckResult(
         "triangulation",
-        unimodular and partition_ok and oracle_ok and hstar_ok,
+        unimodular and partition_ok and oracle_ok,
         detail,
     )
 
 
-def check_gorenstein_triple(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_gorenstein_triple(p: SignedPoset) -> CheckResult:
     system = order_polytope(p)
     symmetric = check_fischer_symmetry(fischer_representation(p))
     report = is_graded(minimal_fischer_representation(p))
@@ -334,7 +366,7 @@ def check_gorenstein_triple(p: SignedPoset, t_max: int = 3) -> CheckResult:
     return CheckResult("gorenstein-triple", passed, detail)
 
 
-def check_hstar_unimodal_when_gorenstein(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_hstar_unimodal_when_gorenstein(p: SignedPoset) -> CheckResult:
     system = order_polytope(p)
     hstar = hstar_from_counts(system, p.n)
     palindromic = is_palindromic(hstar)
@@ -346,7 +378,7 @@ def check_hstar_unimodal_when_gorenstein(p: SignedPoset, t_max: int = 3) -> Chec
     )
 
 
-def check_fischer_halfspaces(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_fischer_halfspaces(p: SignedPoset) -> CheckResult:
     """The relation rows of Ĝ(M), and of Ĝ(P), carve out the same polytope as O_P."""
     system = order_polytope(p)
     fh = fischer_halfspaces(minimal_fischer_representation(p))
@@ -361,7 +393,7 @@ def check_fischer_halfspaces(p: SignedPoset, t_max: int = 3) -> CheckResult:
     return CheckResult("fischer-halfspaces", passed, {"rows": len(fh.rows)})
 
 
-def check_chain_polytope(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_chain_polytope(p: SignedPoset) -> CheckResult:
     """C_P: reflexive rows, the origin inside, antichains as its t = 1 points,
     Ehrhart–Macdonald reciprocity, and counts that stay polynomial.
 
@@ -396,7 +428,7 @@ def check_chain_polytope(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-def check_homogenization(p: SignedPoset, t_max: int = 3) -> CheckResult:
+def check_homogenization(p: SignedPoset) -> CheckResult:
     lifted = homogenized_poset(p)
     kc = order_cone(lifted)
     system = order_polytope(p)
@@ -412,7 +444,7 @@ def check_homogenization(p: SignedPoset, t_max: int = 3) -> CheckResult:
     )
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[[SignedPoset, int], CheckResult]], ...] = (
+ALL_CHECKS: tuple[tuple[str, Callable[[SignedPoset], CheckResult]], ...] = (
     ("minimal-representation", check_minimal_representation),
     ("jordan-holder", check_jordan_holder),
     ("interior-point", check_interior_point),
@@ -429,12 +461,12 @@ ALL_CHECKS: tuple[tuple[str, Callable[[SignedPoset, int], CheckResult]], ...] = 
 )
 
 
-def verify_poset(p: SignedPoset, t_max: int = 3) -> PosetReport:
+def verify_poset(p: SignedPoset) -> PosetReport:
     """Run every check; one that raises, whatever the exception, fails."""
     results = []
     for name, fn in ALL_CHECKS:
         try:
-            results.append(fn(p, t_max))
+            results.append(fn(p))
         except Exception as exc:
             results.append(
                 CheckResult(name, False, {"exception": type(exc).__name__, "message": str(exc)})
@@ -580,7 +612,6 @@ class CatalogReport:
 
 def verify_catalog(
     n: int,
-    t_max: int = 3,
     force: bool = False,
     log: Optional[Callable[[str], None]] = None,
 ) -> CatalogReport:
@@ -591,7 +622,7 @@ def verify_catalog(
     total = len(posets)
     sweep_start = time.monotonic()
     for done, p in enumerate(posets, 1):
-        report = verify_poset(p, t_max)
+        report = verify_poset(p)
         for c in report.checks:
             if c.passed:
                 passes[c.name] += 1

@@ -190,7 +190,7 @@ def test_verify_single_file(capsys, fig1):
 def test_check_that_raises_fails_verify(capsys, fig1, monkeypatch):
     from signedposets import verify
 
-    def broken(p, t_max=3):
+    def broken(p):
         raise ValueError("viewpoint is not generic")
 
     monkeypatch.setattr(verify, "ALL_CHECKS", verify.ALL_CHECKS[:-1] + (("homogenization", broken),))

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.ehrhart import (
     count_points,
@@ -7,6 +9,7 @@ from signedposets.ehrhart import (
     format_rational,
     gorenstein_index_by_counts,
     hstar_from_counts,
+    integer_box,
     is_palindromic,
     is_unimodal,
     poly_eval,
@@ -14,7 +17,8 @@ from signedposets.ehrhart import (
     reciprocity_check,
 )
 from signedposets.geometry import order_polytope, signed_filters
-from signedposets.halfspaces import HalfspaceSystem, cube_rows
+from signedposets.errors import UnboundedSystem
+from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
 
@@ -93,3 +97,14 @@ def test_format_rational():
 
 def test_poly_to_json():
     assert poly_to_json((Fraction(1), Fraction(5, 2))) == ["1", "5/2"]
+
+
+def test_a_system_bounded_only_through_several_coordinates_is_not_counted():
+    # x ≥ 0, y ≥ 0, x + y ≤ 1: no single-coordinate row bounds x or y above.
+    triangle = HalfspaceSystem(
+        2, (Halfspace((1, 0), 0), Halfspace((0, 1), 0), Halfspace((-1, -1), -1))
+    )
+    with pytest.raises(UnboundedSystem, match="coordinate 1 above"):
+        count_points(triangle, 1)
+    with pytest.raises(UnboundedSystem):
+        integer_box(triangle, 0)

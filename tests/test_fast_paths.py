@@ -1,12 +1,11 @@
 """Each integer fast path against its slow route, and the count-cache contract.
 
 The fast paths are: `dot` in integers, the witness-first `row_is_necessary`,
-box bounds solved once at t = 1 and scaled, the half-open oracle's integer
-viewpoint, the fraction-free simplex and the depth-first lattice count.  Each
-is compared with the route it replaced on the whole n ≤ 3 catalog (the
-simplex on the LPs of a seeded n = 3 sweep and on fuzzed small LPs; the count
-also on seeded n = 4 posets).  The two replaced kernels live in
-`reference_kernels.py`.
+the half-open oracle's integer viewpoint, the fraction-free simplex and the
+depth-first lattice count.  Each is compared with the route it replaced on
+the whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep and
+on fuzzed small LPs; the count also on seeded n = 4 posets).  The two
+replaced kernels live in `reference_kernels.py`.  The count solves no LP.
 """
 
 import random
@@ -18,10 +17,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference_kernels import count_by_box_scan, lp_oracle
-from signedposets import linalg
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.chains import chain_polytope
-from signedposets.ehrhart import count_points, integer_box
+from signedposets import ehrhart, linalg, verify
+from signedposets.ehrhart import count_points
 from signedposets.errors import AsymmetryViolation
 from signedposets.geometry import (
     _lp_row_is_necessary,
@@ -68,21 +67,6 @@ def test_witness_first_redundancy_equals_the_lp_where_rows_are_redundant():
         assert verdict == _lp_row_is_necessary(trial, last)
         verdicts.add(verdict)
     assert verdicts == {False, True}
-
-
-def _direct_box(system, t):
-    # The t-dilate as a system of its own, whose box at t = 1 is solved as is.
-    dilate = HalfspaceSystem(
-        system.n, tuple(Halfspace(row.a, t * row.b) for row in system.rows)
-    )
-    return integer_box(dilate, 1)
-
-
-def test_scaled_box_equals_the_box_solved_at_each_dilate():
-    for p in CATALOG:
-        for system in (order_polytope_irredundant(p), chain_polytope(p)):
-            for t in range(2, 5):  # t = 1 is the solved box itself
-                assert integer_box(system, t) == _direct_box(system, t), (p, t)
 
 
 def test_integer_viewpoint_equals_the_rational_reference_point():
@@ -143,7 +127,6 @@ def test_simplex_equals_the_fraction_tableau_on_a_seeded_sweep(monkeypatch):
         return solve_standard(a, b, c)
 
     monkeypatch.setattr(linalg, "solve_standard", record)
-    count_points.cache_clear()  # so the box LPs are solved, whatever ran before
     for p in random.Random("lp-oracle").sample(CATALOG[36:], 25):
         verify_poset(p)
     monkeypatch.undo()
@@ -219,9 +202,18 @@ def _count_agrees(system, tmax):
             )
 
 
+def _boxed_irredundant(p):
+    # The pruned O_P plus the cube rows it leaves out: the same polytope, and
+    # one whose single-coordinate rows give the count a box.
+    irr = order_polytope_irredundant(p)
+    kept = {(row.a, row.b) for row in irr.rows}
+    left_out = tuple(row for row in cube_rows(p.n) if (row.a, row.b) not in kept)
+    return HalfspaceSystem(p.n, irr.rows + left_out)
+
+
 def test_depth_first_count_equals_the_box_scan_up_to_n3():
     for p in CATALOG:
-        for system in (order_polytope(p), order_polytope_irredundant(p), chain_polytope(p)):
+        for system in (order_polytope(p), _boxed_irredundant(p), chain_polytope(p)):
             _count_agrees(system, 3)
 
 
@@ -258,5 +250,28 @@ def _seeded_posets(n, count, seed):
 
 def test_depth_first_count_equals_the_box_scan_at_n4():
     for p in _seeded_posets(4, 30, "count-oracle:4"):
-        for system in (order_polytope(p), order_polytope_irredundant(p), chain_polytope(p)):
+        for system in (order_polytope(p), _boxed_irredundant(p), chain_polytope(p)):
             _count_agrees(system, 3)
+
+
+def test_every_count_of_a_verify_sweep_solves_no_lp(monkeypatch):
+    counted = {}
+
+    def record(system, t, strict=False):
+        counted[system, t, strict] = value = count_points(system, t, strict)
+        return value
+
+    for module in (ehrhart, verify):
+        monkeypatch.setattr(module, "count_points", record)
+    for p in CATALOG[:36]:  # n ≤ 2
+        assert verify_poset(p).passed
+    monkeypatch.undo()
+
+    def no_lp(*args):
+        raise AssertionError("the count solved an LP")
+
+    monkeypatch.setattr(linalg, "solve_standard", no_lp)
+    count_points.cache_clear()
+    for (system, t, strict), value in counted.items():
+        assert count_points(system, t, strict) == value
+    assert len(counted) > 400

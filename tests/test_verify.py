@@ -2,8 +2,11 @@
 
 import re
 
+import pytest
+
 from signedposets import verify
 from signedposets.ehrhart import count_points
+from signedposets.geometry import order_polytope_irredundant
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
@@ -105,7 +108,7 @@ def test_verify_reports_exceptions_as_failures():
 
 
 def test_check_that_raises_becomes_a_failed_check(monkeypatch):
-    def broken(p, t_max=3):
+    def broken(p):
         raise ValueError("viewpoint is not generic")
 
     checks = list(ALL_CHECKS)
@@ -130,7 +133,9 @@ def test_verify_catalog_logs_progress():
 def test_chain_polytope_check_rejects_a_rational_polytope_with_reflexive_rows(monkeypatch):
     # Every row is primitive with b = −1, but (−1/3, −1/3) is a vertex.  The
     # old test, strict(t + 1) = weak(t), holds for any such rows and passed.
-    rows = ((-1, 0), (0, -1), (1, 2), (2, 1))
+    # x ≥ −1 and y ≥ −1 give the count a box; they cut nothing, as min x =
+    # min y = −1 there.
+    rows = ((-1, 0), (0, -1), (1, 2), (2, 1), (1, 0), (0, 1))
     system = HalfspaceSystem(2, tuple(Halfspace(a, -1) for a in rows))
     monkeypatch.setattr(verify, "chain_polytope", lambda p: system)
     check = verify.check_chain_polytope(mk(2, []))
@@ -146,5 +151,34 @@ def test_reports_share_one_layout_and_rebuild_their_checks():
     first, second = verify_poset(p), verify_poset(q)
     assert first.layout is second.layout
     assert first.tokens[0] is verify_poset(p).tokens[0]
-    assert first.checks == tuple(check(p, 3) for _, check in ALL_CHECKS)
+    assert first.checks == tuple(check(p) for _, check in ALL_CHECKS)
     assert first.failures() == [] and first.passed
+
+
+@pytest.mark.parametrize(
+    "tokens, label",
+    [
+        # Without x_1 ≤ 1 the LP finds the pruned system leaving the cube.
+        ([], "cube-upper(1)"),
+        # Without x_2 ≤ 0 it stays in the cube, but counts more points.
+        (["+1-2", "-2"], "root -2"),
+    ],
+)
+def test_irredundant_check_fails_without_a_needed_row(monkeypatch, tokens, label):
+    p = mk(2, tokens)
+    assert verify.check_irredundant_description(p).passed
+    rows = order_polytope_irredundant(p).rows
+    pruned = HalfspaceSystem(2, tuple(row for row in rows if row.label != label))
+    assert len(pruned.rows) == len(rows) - 1
+    monkeypatch.setattr(verify, "order_polytope_irredundant", lambda q: pruned)
+    check = verify.check_irredundant_description(p)
+    assert not check.passed and "exception" not in check.detail
+
+
+def test_a_cube_row_holds_by_a_tighter_single_coordinate_row_or_by_the_lp():
+    at_least_minus_one, at_most_one = Halfspace((1,), -1), Halfspace((-1,), -1)
+    # 2x ≤ 1 implies x ≤ 1; x ≤ 2 does not, and the LP finds x = 2.
+    half = HalfspaceSystem(1, (at_least_minus_one, Halfspace((-2,), -1)))
+    two = HalfspaceSystem(1, (at_least_minus_one, Halfspace((-1,), -2)))
+    assert verify._holds_on(half, at_most_one) and verify._holds_on(two, at_least_minus_one)
+    assert not verify._holds_on(two, at_most_one)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import dot
@@ -57,8 +58,10 @@ class HalfspaceSystem:
         self, x: Sequence[int | Fraction], t: int = 1, strict: bool = False
     ) -> bool:
         """Does x satisfy every row of the t-dilate (strictly, if asked)?"""
+        if len(x) != self.n:
+            raise ValueError("dimension mismatch")
         for row in self.rows:
-            value = row.evaluate(x)
+            value = sum(map(mul, row.a, x))
             bound = t * row.b
             if value < bound or (strict and value == bound):
                 return False

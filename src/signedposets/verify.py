@@ -4,7 +4,9 @@ Every structural claim the library makes is re-checked here by an
 independent route: descent-counted h* against lattice-point-counted h*; the
 irredundant description's rows certified necessary by integer witnesses or
 the LP, its containment in the cube proved by the LP, and its lattice counts
-against O_P's; the half-open triangulation against plain point membership;
+against O_P's; the half-open triangulation against plain point membership
+(`jordan.owner_table` proves the cells' partition of each cube dilate once
+per (n, t), so a poset's JH cells need one owner lookup per cube point);
 Fischer gradedness against counting Gorenstein indices; the chain polytope's
 interpolated Ehrhart polynomial against counts past its nodes.  A failed
 check is report content; the library itself only raises when its own
@@ -64,13 +66,11 @@ from .gorenstein import (
 )
 from .halfspaces import Halfspace, HalfspaceSystem, cube_rows, dedupe_rows
 from .jordan import (
-    cell,
     cell_determinant,
-    half_open_contains,
-    half_open_contains_generic,
     hstar_by_descents,
     jordan_holder,
     naturalize,
+    owner_table,
 )
 from .perms import act_poset, enumerate_signed_permutations
 from .posets import (
@@ -158,14 +158,6 @@ def pad_equal(a, b) -> bool:
     """Coefficientwise equality of two h*-tuples up to trailing zeros."""
     width = max(len(a), len(b))
     return tuple(a) + (0,) * (width - len(a)) == tuple(b) + (0,) * (width - len(b))
-
-
-def _lattice_points(system: HalfspaceSystem, t: int) -> list[tuple[int, ...]]:
-    return [
-        x
-        for x in product(range(-t, t + 1), repeat=system.n)
-        if system.contains(x, t)
-    ]
 
 
 def check_minimal_representation(p: SignedPoset) -> CheckResult:
@@ -298,45 +290,43 @@ def _holds_on(system: HalfspaceSystem, row: Halfspace) -> bool:
 
 
 def check_triangulation(p: SignedPoset) -> CheckResult:
-    """Half-open cells of the naturalized image partition every dilate."""
+    """The JH cells of the naturalized image are unimodular, and their
+    half-open versions hold exactly the lattice points of each dilate.
+
+    `owner_table` proves once per (n, t) that the half-open cells of all
+    windows partition the cube dilate [−t, t]^n.  Per poset it is then enough
+    that x ∈ tO_P ⟺ owner(x) ∈ {σ⁻¹ : σ ∈ JH} for every x of that cube, at
+    t = 1..T_MAX: each lattice point of tO_P has exactly one JH cell, and no
+    JH cell reaches outside O_P.  (A half-open cell with k strict facets
+    holds a lattice point from t = k on, so at n = 4 the one cell with four,
+    window (−1, −2, −3, −4), is not seen.)
+    """
     _, image = naturalize(p)
     system = order_polytope(image)
     jh = jordan_holder(image)
     windows = [sigma.inverse() for sigma in jh]  # chamber(σ) reads off σ⁻¹
-    cells = [cell(tau) for tau in windows]
     unimodular = all(cell_determinant(tau) in (1, -1) for tau in windows)
+    owned = {tau.images for tau in windows}
 
-    partition_ok = True
-    oracle_ok = True
     bad: Optional[dict] = None
     for t in range(1, T_MAX + 1):
-        for x in _lattice_points(system, t):
-            owners = sum(1 for c in cells if half_open_contains(c, x, t))
-            if owners != 1:
-                partition_ok = False
-                bad = {"t": t, "x": list(x), "owners": owners}
+        table = owner_table(p.n, t)
+        if table.counterexample is not None:
+            x, window = table.counterexample
+            bad = {"t": t, "x": list(x), "window": list(window)}
+            break
+        for x, w in zip(table.points(), table.owners):
+            inside = system.contains(x, t)
+            if inside != (w in owned):
+                bad = {"t": t, "x": list(x), "owner": list(w), "in_polytope": inside}
                 break
-            if t <= 2:
-                for tau, c in zip(windows, cells):
-                    if half_open_contains(c, x, t) != half_open_contains_generic(
-                        tau, x, t
-                    ):
-                        oracle_ok = False
-                        bad = {"t": t, "x": list(x), "window": list(tau.images)}
-                        break
-            if not oracle_ok:
-                break
-        if not (partition_ok and oracle_ok):
+        if bad:
             break
 
     detail = {"cells": len(jh), "unimodular": unimodular}
     if bad:
         detail["counterexample"] = bad
-    return CheckResult(
-        "triangulation",
-        unimodular and partition_ok and oracle_ok,
-        detail,
-    )
+    return CheckResult("triangulation", unimodular and not bad, detail)
 
 
 def check_gorenstein_triple(p: SignedPoset) -> CheckResult:

@@ -5,6 +5,9 @@ dense `Fraction` tableau with Bland's rule, the same two phases and the same
 tie-break, so it makes the same pivots and must return the same
 (status, x, value).  `count_by_box_scan` is the count before the depth-first
 scan: every point of the integer box, each row checked in turn.
+`triangulation_by_cell_scan` is the triangulation check before the owner
+table: every lattice point of each dilate of O_P tested against every JH
+cell, and against the generic-viewpoint oracle at t ≤ 2.
 """
 
 from fractions import Fraction
@@ -12,6 +15,16 @@ from itertools import product
 from typing import Optional
 
 from signedposets.ehrhart import integer_box
+from signedposets.geometry import order_polytope
+from signedposets.jordan import (
+    cell,
+    cell_determinant,
+    half_open_contains,
+    half_open_contains_generic,
+    jordan_holder,
+    naturalize,
+)
+from signedposets.verify import T_MAX, CheckResult
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -121,3 +134,53 @@ def count_by_box_scan(system, t: int, strict: bool = False) -> int:
         else:
             count += 1
     return count
+
+
+def _lattice_points(system, t: int) -> list[tuple[int, ...]]:
+    return [
+        x
+        for x in product(range(-t, t + 1), repeat=system.n)
+        if system.contains(x, t)
+    ]
+
+
+def triangulation_by_cell_scan(p) -> CheckResult:
+    """Half-open cells of the naturalized image partition every dilate."""
+    _, image = naturalize(p)
+    system = order_polytope(image)
+    jh = jordan_holder(image)
+    windows = [sigma.inverse() for sigma in jh]  # chamber(σ) reads off σ⁻¹
+    cells = [cell(tau) for tau in windows]
+    unimodular = all(cell_determinant(tau) in (1, -1) for tau in windows)
+
+    partition_ok = True
+    oracle_ok = True
+    bad: Optional[dict] = None
+    for t in range(1, T_MAX + 1):
+        for x in _lattice_points(system, t):
+            owners = sum(1 for c in cells if half_open_contains(c, x, t))
+            if owners != 1:
+                partition_ok = False
+                bad = {"t": t, "x": list(x), "owners": owners}
+                break
+            if t <= 2:
+                for tau, c in zip(windows, cells):
+                    if half_open_contains(c, x, t) != half_open_contains_generic(
+                        tau, x, t
+                    ):
+                        oracle_ok = False
+                        bad = {"t": t, "x": list(x), "window": list(tau.images)}
+                        break
+            if not oracle_ok:
+                break
+        if not (partition_ok and oracle_ok):
+            break
+
+    detail = {"cells": len(jh), "unimodular": unimodular}
+    if bad:
+        detail["counterexample"] = bad
+    return CheckResult(
+        "triangulation",
+        unimodular and partition_ok and oracle_ok,
+        detail,
+    )

@@ -104,6 +104,12 @@ def test_enumerate_up_to_iso():
     assert all(canonical_form(p) == p for p in reps)
 
 
+def test_n3_isomorphism_classes():
+    reps = enumerate_signed_posets(3, up_to_iso=True)
+    assert len(reps) == 35
+    assert all(canonical_form(p) == p for p in reps)
+
+
 def test_naturally_labeled_counts():
     assert naturally_labeled_count(1) == 2
     assert naturally_labeled_count(2) == 11

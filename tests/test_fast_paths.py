@@ -1,10 +1,11 @@
 """Each integer fast path against its slow route, and the count-cache contract.
 
 The fast paths are: `dot` in integers, the witness-first `row_is_necessary`,
-the half-open oracle's integer viewpoint, the fraction-free simplex and the
-depth-first lattice count.  Each is compared with the route it replaced on
-the whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep and
-on fuzzed small LPs; the count also on seeded n = 4 posets).  The two
+the half-open oracle's integer viewpoint, the fraction-free simplex, the
+depth-first lattice count and the triangulation check by owner table.  Each
+is compared with the route it replaced on the whole n ≤ 3 catalog (the
+simplex on the LPs of a seeded n = 3 sweep and on fuzzed small LPs; the
+count and the triangulation also on seeded n = 4 posets).  The three
 replaced kernels live in `reference_kernels.py`.  The count solves no LP.
 """
 
@@ -16,7 +17,7 @@ from itertools import islice, product
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference_kernels import count_by_box_scan, lp_oracle
+from reference_kernels import count_by_box_scan, lp_oracle, triangulation_by_cell_scan
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.chains import chain_polytope
 from signedposets import ehrhart, linalg, verify
@@ -34,7 +35,7 @@ from signedposets.linalg import dot, solve_standard
 from signedposets.perms import enumerate_signed_permutations
 from signedposets.posets import from_generators
 from signedposets.roots import all_roots
-from signedposets.verify import subchain_trials, verify_poset
+from signedposets.verify import check_triangulation, subchain_trials, verify_poset
 
 CATALOG = [p for n in (1, 2, 3) for p in enumerate_signed_posets(n)]
 
@@ -252,6 +253,16 @@ def test_depth_first_count_equals_the_box_scan_at_n4():
     for p in _seeded_posets(4, 30, "count-oracle:4"):
         for system in (order_polytope(p), _boxed_irredundant(p), chain_polytope(p)):
             _count_agrees(system, 3)
+
+
+def test_triangulation_by_owner_equals_the_cell_scan_up_to_n3():
+    for p in CATALOG:
+        assert check_triangulation(p) == triangulation_by_cell_scan(p), p.tokens()
+
+
+def test_triangulation_by_owner_equals_the_cell_scan_at_n4():
+    for p in _seeded_posets(4, 30, "count-oracle:4"):
+        assert check_triangulation(p) == triangulation_by_cell_scan(p), p.tokens()
 
 
 def test_every_count_of_a_verify_sweep_solves_no_lp(monkeypatch):

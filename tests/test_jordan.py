@@ -30,6 +30,8 @@ from signedposets.jordan import (
     jordan_holder,
     natdes,
     naturalize,
+    owner,
+    owner_table,
 )
 from signedposets.perms import SignedPermutation, enumerate_signed_permutations
 from signedposets.posets import from_generators
@@ -119,12 +121,27 @@ def test_generic_oracle_rejects_degenerate_viewpoint():
 
 
 def test_half_open_cells_partition_the_cube():
-    # the 2^n n! half-open cells tile [-t, t]^n with no overlaps
-    for n, t in [(2, 1), (2, 2)]:
-        cells = [cell(sigma) for sigma in enumerate_signed_permutations(n)]
-        for x in product(range(-t, t + 1), repeat=n):
-            owners = [c for c in cells if half_open_contains(c, x, t)]
-            assert len(owners) == 1, (x, owners)
+    # the 2^n n! half-open cells tile [-t, t]^n with no overlaps; the one
+    # cell that holds x is the one owner(x) names, as the table records
+    for n in (1, 2, 3):
+        group = enumerate_signed_permutations(n)
+        cells = [cell(sigma) for sigma in group]
+        for t in (1, 2, 3):
+            table = owner_table(n, t)
+            assert table.counterexample is None
+            points = list(product(range(-t, t + 1), repeat=n))
+            assert list(table.points()) == points
+            assert len(table.owners) == len(points)
+            for x, w in zip(points, table.owners):
+                owners = [c.sigma.images for c in cells if half_open_contains(c, x, t)]
+                assert owners == [owner(x)] == [w], (x, owners)
+
+
+def test_owner_table_is_built_once_per_rank_and_dilate():
+    owner_table.cache_clear()
+    first = owner_table(2, 2)
+    assert owner_table(2, 2) is first
+    assert owner_table.cache_info().misses == 1 and owner_table.cache_info().maxsize == 8
 
 
 def test_hstar_by_descents_pinned():

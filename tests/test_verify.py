@@ -4,10 +4,13 @@ import re
 
 import pytest
 
-from signedposets import verify
+import reference_kernels
+from signedposets import jordan, verify
 from signedposets.ehrhart import count_points
 from signedposets.geometry import order_polytope_irredundant
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
+from signedposets.jordan import DescentData, jordan_holder, naturalize, owner_table
+from signedposets.perms import enumerate_signed_permutations
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
 from signedposets.verify import (
@@ -182,3 +185,58 @@ def test_a_cube_row_holds_by_a_tighter_single_coordinate_row_or_by_the_lp():
     two = HalfspaceSystem(1, (at_least_minus_one, Halfspace((-1,), -2)))
     assert verify._holds_on(half, at_most_one) and verify._holds_on(two, at_least_minus_one)
     assert not verify._holds_on(two, at_most_one)
+
+
+FIG1 = ["-1+2", "+1+2"]
+
+
+def _failed_with_counterexample(check):
+    assert not check.passed
+    assert "exception" not in check.detail
+    return check.detail["counterexample"]
+
+
+def test_triangulation_check_fails_when_jh_loses_a_window(monkeypatch):
+    monkeypatch.setattr(verify, "jordan_holder", lambda q: jordan_holder(q)[1:])
+    bad = _failed_with_counterexample(verify.check_triangulation(mk(2, FIG1)))
+    # a point of O_P whose cell was dropped
+    assert bad["in_polytope"] is True
+
+
+def test_triangulation_check_fails_when_jh_gains_a_cell_outside_the_polytope(monkeypatch):
+    _, image = naturalize(mk(2, FIG1))
+    jh = jordan_holder(image)
+    stranger = next(s for s in enumerate_signed_permutations(2) if s not in jh)
+
+    def gained(q):
+        return jordan_holder(q) + [stranger]
+
+    monkeypatch.setattr(verify, "jordan_holder", gained)
+    bad = _failed_with_counterexample(verify.check_triangulation(mk(2, FIG1)))
+    assert bad["in_polytope"] is False
+    assert bad["owner"] == list(stranger.inverse().images)
+    # The cell scan tests only the points of O_P, so it misses this one.
+    monkeypatch.setattr(reference_kernels, "jordan_holder", gained)
+    assert reference_kernels.triangulation_by_cell_scan(mk(2, FIG1)).passed
+
+
+@pytest.fixture
+def fresh_owner_tables():
+    owner_table.cache_clear()
+    yield
+    owner_table.cache_clear()
+
+
+def test_triangulation_check_fails_when_the_half_opening_rule_breaks(
+    monkeypatch, fresh_owner_tables
+):
+    # Without position 0, a cell with ε_1 = −1 keeps its facet ε_1x_{π_1} = 0,
+    # which the cell with ε_1 = +1 keeps too.
+    natdes = jordan.natdes
+    monkeypatch.setattr(
+        jordan, "natdes", lambda sigma: DescentData(natdes(sigma).natdes_set - {0})
+    )
+    for n in (1, 2, 3):
+        assert owner_table(n, 1).counterexample is not None
+        bad = _failed_with_counterexample(verify.check_triangulation(mk(n, [])))
+        assert set(bad) == {"t", "x", "window"} and bad["t"] == 1

@@ -1,0 +1,46 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the verification reports of every signed poset, n = 1..3.
+
+Each report is `json.dumps(verify_poset(p).to_json_dict(), sort_keys=True)`
+plus a newline, taken over `enumerate_signed_posets(n)` in order.  One line
+per rank gives the count and the digest of that rank's reports; the last line
+is the digest of all of them together.  Two trees with the same output give
+byte-identical reports.  It takes no options; n = 3 takes about 15 s.
+
+    python3 scripts/report_digest.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from signedposets.catalog import enumerate_signed_posets
+from signedposets.verify import verify_poset
+
+RANKS = (1, 2, 3)
+
+
+def rank_digest(n: int) -> tuple[int, bytes]:
+    """The number of posets on [n] and the bytes of all their reports."""
+    posets = enumerate_signed_posets(n)
+    lines = [
+        json.dumps(verify_poset(p).to_json_dict(), sort_keys=True) + "\n"
+        for p in posets
+    ]
+    return len(posets), "".join(lines).encode()
+
+
+def main() -> None:
+    combined = hashlib.sha256()
+    for n in RANKS:
+        count, data = rank_digest(n)
+        combined.update(data)
+        print(f"n = {n}: {count} reports, sha256 {hashlib.sha256(data).hexdigest()}")
+    print(f"combined: sha256 {combined.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -177,8 +177,8 @@ def compare_order_chain(p: SignedPoset) -> dict:
     """Side-by-side report on O_P versus C_P (Ehrhart, vertices, interior origin)."""
     o_system = order_polytope(p)
     c_system = chain_polytope(p)
-    ehr_o = ehrhart_polynomial(o_system, p.n)
-    ehr_c = ehrhart_polynomial(c_system, p.n)
+    ehr_o = ehrhart_polynomial(o_system)
+    ehr_c = ehrhart_polynomial(c_system)
     has_unit_root = any(len(alpha.entries) == 1 for alpha in p.roots)
     report = {
         "ehrhart_order": poly_to_json(ehr_o),

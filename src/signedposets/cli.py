@@ -157,16 +157,16 @@ def cmd_hstar(args, doc, p):
 
 def cmd_ehrhart(args, doc, p):
     system = order_polytope(p)
-    ehr = ehrhart_polynomial(system, p.n)
+    ehr = ehrhart_polynomial(system)
     results = {
         "coefficients": poly_to_json(ehr),
         "counts": {str(t): count_points(system, t) for t in range(0, p.n + 1)},
-        "hstar": list(hstar_from_counts(system, p.n)),
+        "hstar": list(hstar_from_counts(system)),
     }
     if args.t is not None:
         results["count_at_t"] = count_points(system, args.t)
         results["t"] = args.t
-    return (results, {"reciprocity": reciprocity_check(system, p.n)},
+    return (results, {"reciprocity": reciprocity_check(system)},
             f"ehr(O_P) = {' + '.join(f'{c}t^{i}' for i, c in enumerate(poly_to_json(ehr)))}")
 
 
@@ -174,7 +174,7 @@ def cmd_gorenstein(args, doc, p):
     check = check_gorenstein_triple(p)
     results = dict(check.detail)
     results["gorenstein"] = bool(check.detail["graded"])
-    results["hstar"] = list(hstar_from_counts(order_polytope(p), p.n))
+    results["hstar"] = list(hstar_from_counts(order_polytope(p)))
     return (results, {"triple_consistent": check.passed},
             f"Gorenstein: {results['gorenstein']} (index {check.detail.get('counting_index')})")
 
@@ -205,7 +205,7 @@ def cmd_chain_polytope(args, doc, p):
         "system": cp.to_json_dict(),
         "chains": [c.to_json_dict() for c in chains],
         "chain_count": len(chains),
-        "ehrhart": poly_to_json(ehrhart_polynomial(cp, p.n)),
+        "ehrhart": poly_to_json(ehrhart_polynomial(cp)),
     }
     verification = {
         "reflexive": is_reflexive(cp),

@@ -162,10 +162,9 @@ count_points.cache_info = _count.cache_info
 count_points.cache_clear = _count.cache_clear
 
 
-def ehrhart_polynomial(system: HalfspaceSystem, n: Optional[int] = None) -> Poly:
+def ehrhart_polynomial(system: HalfspaceSystem) -> Poly:
     """Exact Lagrange interpolation of t ↦ |tP ∩ Z^n| through t = 0..n."""
-    if n is None:
-        n = system.n
+    n = system.n
     counts = [count_points(system, t) for t in range(n + 1)]
     coeffs = [Fraction(0)] * (n + 1)
     for t, value in enumerate(counts):
@@ -193,14 +192,13 @@ def ehrhart_polynomial(system: HalfspaceSystem, n: Optional[int] = None) -> Poly
     return tuple(coeffs)
 
 
-def hstar_from_counts(system: HalfspaceSystem, n: Optional[int] = None) -> tuple[int, ...]:
+def hstar_from_counts(system: HalfspaceSystem) -> tuple[int, ...]:
     """h*-vector from raw counts: h*_j = Σ_i (−1)^i C(n+1, i) ehr(j−i).
 
     Integrality and nonnegativity are asserted; failures mean the counting
     kernel is broken and raise loudly.
     """
-    if n is None:
-        n = system.n
+    n = system.n
     counts = [count_points(system, t) for t in range(n + 1)]
     hstar = []
     for j in range(n + 1):
@@ -218,11 +216,10 @@ def hstar_from_counts(system: HalfspaceSystem, n: Optional[int] = None) -> tuple
     return tuple(hstar)
 
 
-def reciprocity_check(system: HalfspaceSystem, n: Optional[int] = None) -> bool:
+def reciprocity_check(system: HalfspaceSystem) -> bool:
     """Ehrhart–Macdonald: (−1)^n ehr(−t) must equal the strict count, t = 1..n+1."""
-    if n is None:
-        n = system.n
-    ehr = ehrhart_polynomial(system, n)
+    n = system.n
+    ehr = ehrhart_polynomial(system)
     sign = (-1) ** n
     return all(
         sign * poly_eval(ehr, -t) == count_points(system, t, strict=True)
@@ -230,17 +227,14 @@ def reciprocity_check(system: HalfspaceSystem, n: Optional[int] = None) -> bool:
     )
 
 
-def gorenstein_index_by_counts(
-    system: HalfspaceSystem, n: Optional[int] = None
-) -> Optional[int]:
+def gorenstein_index_by_counts(system: HalfspaceSystem) -> Optional[int]:
     """Smallest k with strict(t<k) = 0, strict(k) = 1, strict(k+t) = ehr(t) for t ≤ n.
 
     Returns None when no such k ≤ n+1 exists.  (The first interior point of
     any full-dimensional polytope here appears by dilate n+1, so the search
     range is complete.)
     """
-    if n is None:
-        n = system.n
+    n = system.n
     weak = [count_points(system, t) for t in range(n + 1)]
     for k in range(1, n + 2):
         if count_points(system, k - 1, strict=True) != 0:

@@ -87,7 +87,7 @@ def row_is_necessary(system: HalfspaceSystem, index: int) -> bool:
 
 def _lp_row_is_necessary(system: HalfspaceSystem, index: int) -> bool:
     row = system.rows[index]
-    others = [(r.a, Fraction(r.b)) for i, r in enumerate(system.rows) if i != index]
+    others = [(r.a, r.b) for i, r in enumerate(system.rows) if i != index]
     status, value, _ = minimize(row.a, others)
     if status == "unbounded":
         return True

@@ -5,12 +5,12 @@ integer vector, weakly satisfies every poset inequality.  It is never empty,
 indexes the unimodular simplices Δ_σ triangulating O_P, and its natural
 descent statistic generates h*.
 
-The half-open cells are taken with respect to the reference point
-p = (1, 2, …, n)/(n+1): a facet is removed exactly where NatDes says so, and
-the generic beyond-facet construction is kept as a slow debug oracle for that
-characterization.  The oracle carries p in integers, as (1, 2, …, n) at scale
-n+1, so membership needs no rationals (half-open membership is a sign test
-on facet forms; Köppe–Verdoolaege, EJC 15, 2008).
+The half-open cells are taken with respect to one viewpoint, the reference
+point p = (1, 2, …, n)/(n+1): a facet is removed exactly where NatDes says
+so, and the generic beyond-facet construction is kept as a slow debug oracle
+for that characterization.  The oracle carries p in integers, as
+(1, 2, …, n) at scale n+1, so membership needs no rationals (half-open
+membership is a sign test on facet forms; Köppe–Verdoolaege, EJC 15, 2008).
 
 Which half-open cell holds a lattice point x depends on n and x alone: it is
 the window `owner(x)`, read off by sorting the coordinates by (|x_j|, ±j).
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
@@ -124,17 +123,6 @@ def _chain_values(sigma: SignedPermutation, x: Sequence) -> list:
     return [e * x[i - 1] for i, e in zip(sigma.pi, sigma.eps)]
 
 
-def closed_cell_contains(sigma: SignedPermutation, x: Sequence, t: int = 1) -> bool:
-    """Membership in the closed simplex t·Δ_σ."""
-    values = _chain_values(sigma, x)
-    previous = 0
-    for value in values:
-        if value < previous:
-            return False
-        previous = value
-    return values[-1] <= t
-
-
 def half_open_contains(cell_: SimplexCell, x: Sequence, t: int = 1) -> bool:
     """Membership in the half-open cell t·ℍ_pΔ_σ.
 
@@ -167,54 +155,35 @@ def cell_determinant(sigma: SignedPermutation) -> int:
     edges = [
         [b - a for a, b in zip(verts[i], verts[i + 1])] for i in range(sigma.n)
     ]
-    value = det(edges)
-    if value.denominator != 1:  # pragma: no cover - integer matrix
-        raise InternalInconsistency("non-integer determinant of an integer matrix")
-    return int(value)
+    return det(edges)
 
 
-def reference_point(n: int) -> tuple[Fraction, ...]:
-    """p = (1/(n+1), …, n/(n+1)), the half-opening viewpoint."""
-    return tuple(Fraction(i, n + 1) for i in range(1, n + 1))
-
-
-def half_open_contains_generic(
-    sigma: SignedPermutation, x: Sequence, t: int = 1, q: Sequence | None = None
-) -> bool:
+def half_open_contains_generic(sigma: SignedPermutation, x: Sequence, t: int = 1) -> bool:
     """Debug oracle: half-open membership via the literal beyond-facet rule.
 
-    A facet row of Δ_σ is removed iff the viewpoint q violates it; membership
-    then requires x to satisfy removed rows strictly and kept rows weakly,
-    all at dilate t.  Raises ValueError if q lies on a facet hyperplane
-    (non-generic).  Without q the viewpoint is `reference_point(n)`, carried
-    exactly in integers as (1, …, n) at scale n + 1: the facet forms are
-    linear, so only the top facet's right-hand side sees the scale.
+    A facet row of Δ_σ is removed iff the viewpoint p = (1, …, n)/(n+1)
+    violates it; membership then requires x to satisfy removed rows strictly
+    and kept rows weakly, all at dilate t.  p is carried exactly in integers,
+    as (1, …, n) at scale n + 1: the facet forms are linear, so only the top
+    facet's right-hand side sees the scale.  The coordinates of p are
+    nonzero, distinct and below 1, so p lies on no facet hyperplane.
     """
     n = sigma.n
-    if q is None:
-        q, scale = tuple(range(1, n + 1)), n + 1
-    else:
-        scale = 1
+    scale = n + 1
     values_x = _chain_values(sigma, x)
-    values_q = _chain_values(sigma, q)
-    # Facet forms, written as (value at x, value at q, dilate-scaling of rhs):
+    values_q = _chain_values(sigma, range(1, scale))
+    # Facet forms, written as (value at x, value at p):
     rows = [(values_x[0], values_q[0])]
     rows += [
         (values_x[i + 1] - values_x[i], values_q[i + 1] - values_q[i])
         for i in range(n - 1)
     ]
     for vx, vq in rows:
-        if vq == 0:
-            raise ValueError("viewpoint is not generic for this cell")
         if vx < 0 or (vx == 0 and vq < 0):
             return False
-    # Top facet ε_n x_{π_n} ≤ t (q is compared at the unit dilate).
+    # Top facet ε_n x_{π_n} ≤ t (p is compared at the unit dilate).
     top_x, top_q = values_x[-1], values_q[-1]
-    if top_q == scale:
-        raise ValueError("viewpoint is not generic for this cell")
-    if top_x > t or (top_x == t and top_q > scale):
-        return False
-    return True
+    return top_x < t or (top_x == t and top_q < scale)
 
 
 def owner(x: Sequence[int]) -> tuple[int, ...]:
@@ -260,7 +229,8 @@ class OwnerTable:
 GENERIC_T_MAX = 2
 
 
-# Built on first use, never at import; eight entries hold t = 1..3 at two ranks.
+# Built on first use, never at import.  A triangulation check asks for
+# t = 1..max(3, n), so eight entries hold n = 3 and n = 4 together (3 + 4).
 @lru_cache(maxsize=8)
 def owner_table(n: int, t: int) -> OwnerTable:
     """The owners of [−t, t]^n, with the proof that the half-open cells partition it.
@@ -295,23 +265,12 @@ def owner_table(n: int, t: int) -> OwnerTable:
     return replace(table, owners=tuple(owner_of.values()))
 
 
-def chamber(sigma: SignedPermutation) -> SimplexCell:
-    """The triangulation cell whose interior contains (σ(1),…,σ(n))/(n+1).
-
-    The window data of that cell reads off σ⁻¹: chain position k holds
-    coordinate |σ⁻¹(k)| with the sign of σ⁻¹(k).  This is the inversion that
-    matches cells of O_P with members of JH(P): σ ∈ JH(P) exactly when
-    chamber(σ) ⊆ O_P.  (At n ≤ 2 every JH set happens to be closed under
-    inverses, so the distinction is invisible in small examples.)
-    """
-    return cell(sigma.inverse())
-
-
 def hstar_by_descents(p: SignedPoset) -> tuple[int, ...]:
     """h* of O_P as a descent generating polynomial over JH of a naturalization.
 
     h*(z) = Σ_{σ ∈ JH(P′)} z^{natdes(σ⁻¹)} with P′ = naturalize(P): the cell
-    of O_{P′} owned by σ is chamber(σ), whose half-open version misses
+    of O_{P′} owned by σ is cell(σ⁻¹), the one whose interior holds the
+    scaled word (σ(1),…,σ(n))/(n+1), and its half-open version misses
     natdes(σ⁻¹) facets.  Taking descents of σ itself instead agrees up to
     n = 2 but diverges at n = 3 (e.g. P = {e3}), where only the inverse
     statistic matches the lattice-point count.  h* is an isomorphism

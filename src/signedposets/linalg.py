@@ -1,11 +1,12 @@
-"""Exact rational linear algebra: Gaussian elimination and a small two-phase simplex.
+"""Exact integer linear algebra: Bareiss elimination and a small two-phase simplex.
 
 Everything here is exact: there is no floating point and therefore no
 tolerance anywhere in the package.  `dot` stays in integers on integer input.
-The simplex is fraction-free: rational data are scaled to integers on entry,
-and the tableau is kept as integers over one common denominator, updated by
-Bareiss steps; only the answers come back as `fractions.Fraction`.  `rank`,
-`det` and `solve_square` eliminate over `Fraction`.  The LPs solved are
+`rank` and `det` take integer rows and eliminate fraction-free, and `det`
+returns an int.  The simplex is fraction-free as well: rational data are
+scaled to integers on entry, and the tableau is kept as integers over one
+common denominator; only its answers come back as `fractions.Fraction`.
+Both eliminate by the same Bareiss step, `_eliminate`.  The LPs solved are
 small, so a dense tableau with Bland's anti-cycling rule is entirely
 adequate.
 """
@@ -20,7 +21,6 @@ Rat = int | Fraction
 Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def dot(a: Sequence[Rat], x: Sequence[Rat]) -> Rat:
@@ -36,70 +36,64 @@ def dot(a: Sequence[Rat], x: Sequence[Rat]) -> Rat:
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
-def rank(rows: Sequence[Sequence[Rat]]) -> int:
-    """Rank of a matrix given as a list of rows, by fraction-exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+def _eliminate(row: list[int], pivot_row: list[int], c: int, p: int, d: int) -> list[int]:
+    """One Bareiss step: `row` cleared at column c by the pivot p of `pivot_row`.
+
+    Every entry becomes `(p·x − f·y) // d`, with f = row[c] and d the previous
+    pivot; the division is exact (Bareiss, Math. Comp. 22, 1968).
+    """
+    f = row[c]
+    if f:
+        return [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free forward elimination of integer rows: (rank, last pivot).
+
+    After k Bareiss steps each entry below the pivot rows is a (k+1)×(k+1)
+    minor, so the last pivot, signed by the row swaps, is the determinant of
+    a square matrix of full rank.
+    """
+    m = [list(row) for row in rows]
+    r, d, sign = 0, 1, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def det(rows: Sequence[Sequence[Rat]]) -> Fraction:
-    """Determinant of a square matrix (exact)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix not square")
-    sign = 1
-    result = _ONE
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return _ZERO
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        pivot = m[col][col]
-        result *= pivot
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / pivot
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return sign * result
+        p = m[r][c]
+        for i in range(r + 1, len(m)):
+            m[i] = _eliminate(m[i], m[r], c, p, d)
+        d = p
+        r += 1
+    return r, sign * d
 
 
-def solve_square(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> Optional[Vec]:
-    """Unique solution of a square system, or None when the matrix is singular."""
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix given as a list of rows.
+
+    >>> rank([[1, 2], [2, 4]])
+    1
+    """
+    return _echelon(rows)[0]
+
+
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, as an int.
+
+    >>> det([[2, 1], [1, 3]])
+    5
+    """
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix not square")
+    r, pivot = _echelon(rows)
+    return pivot if r == n else 0
 
 
 def _integers(values: Sequence[Rat]) -> tuple[int, list[int]]:
@@ -200,15 +194,6 @@ class _Tableau:
             if j < self.nv:
                 x[j] = Fraction(self.t[i][-1], self.d)
         return x
-
-
-def _eliminate(row: list[int], pivot_row: list[int], c: int, p: int, d: int) -> list[int]:
-    f = row[c]
-    if f:
-        return [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
-    if p == d:
-        return row
-    return [p * x // d for x in row]
 
 
 def solve_standard(

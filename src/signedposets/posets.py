@@ -250,31 +250,23 @@ def embed_classical_poset(
     """Embed a partial order on [n] as the signed poset {e_j − e_i : i < j in Π}.
 
     `relations` lists ordered pairs (i, j) meaning i < j in the order; they may
-    or may not already be transitively closed.  CycleDetected if the relation
-    has a directed cycle.
+    or may not already be transitively closed.  The closure is transitive,
+    since (e_j − e_i) + (e_k − e_j) = e_k − e_i, so a directed cycle closes
+    to a symmetric set; CycleDetected then, and for a relation (i, i).
     """
-    rel = set(relations)
-    for i, j in rel:
+    gens = []
+    for i, j in relations:
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"relation ({i},{j}) out of range for [{n}]")
-    # Transitive closure, then the irreflexivity check that rules out cycles.
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(rel):
-            for k, l in list(rel):
-                if j == k and (i, l) not in rel:
-                    rel.add((i, l))
-                    changed = True
-    for i, j in rel:
         if i == j:
             raise CycleDetected(f"element {i} is below itself")
-    gens = []
-    for i, j in rel:
         lo, hi = min(i, j), max(i, j)
         # e_j − e_i: sign +1 at j, −1 at i.
         gens.append(Root.pair(lo, 1 if lo == j else -1, hi, 1 if hi == j else -1))
-    return from_generators(n, gens)
+    try:
+        return from_generators(n, gens)
+    except AsymmetryViolation as exc:
+        raise CycleDetected(f"the relations have a directed cycle: {exc}") from exc
 
 
 def classical_relations(p: SignedPoset) -> set[tuple[int, int]]:

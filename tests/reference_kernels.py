@@ -8,6 +8,8 @@ scan: every point of the integer box, each row checked in turn.
 `triangulation_by_cell_scan` is the triangulation check before the owner
 table: every lattice point of each dilate of O_P tested against every JH
 cell, and against the generic-viewpoint oracle at t ≤ 2.
+`half_open_contains_at` is that oracle before it went to integers: the
+beyond-facet rule at any rational viewpoint, `reference_point(n)` among them.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from signedposets.jordan import (
     jordan_holder,
     naturalize,
 )
+from signedposets.perms import SignedPermutation
 from signedposets.verify import T_MAX, CheckResult
 
 _ZERO = Fraction(0)
@@ -149,7 +152,7 @@ def triangulation_by_cell_scan(p) -> CheckResult:
     _, image = naturalize(p)
     system = order_polytope(image)
     jh = jordan_holder(image)
-    windows = [sigma.inverse() for sigma in jh]  # chamber(σ) reads off σ⁻¹
+    windows = [sigma.inverse() for sigma in jh]  # σ ∈ JH owns the cell of σ⁻¹
     cells = [cell(tau) for tau in windows]
     unimodular = all(cell_determinant(tau) in (1, -1) for tau in windows)
 
@@ -184,3 +187,36 @@ def triangulation_by_cell_scan(p) -> CheckResult:
         unimodular and partition_ok and oracle_ok,
         detail,
     )
+
+
+def reference_point(n: int) -> tuple[Fraction, ...]:
+    """p = (1/(n+1), …, n/(n+1)), the half-opening viewpoint."""
+    return tuple(Fraction(i, n + 1) for i in range(1, n + 1))
+
+
+def half_open_contains_at(sigma: SignedPermutation, x, t: int, q) -> bool:
+    """Half-open membership in t·Δ_σ by the beyond-facet rule at viewpoint q.
+
+    A facet row of Δ_σ is removed iff q violates it; membership then requires
+    x to satisfy removed rows strictly and kept rows weakly, all at dilate t.
+    Raises ValueError if q lies on a facet hyperplane (non-generic).
+    """
+    values_x = [e * x[i - 1] for i, e in zip(sigma.pi, sigma.eps)]
+    values_q = [e * q[i - 1] for i, e in zip(sigma.pi, sigma.eps)]
+    rows = [(values_x[0], values_q[0])]
+    rows += [
+        (values_x[i + 1] - values_x[i], values_q[i + 1] - values_q[i])
+        for i in range(sigma.n - 1)
+    ]
+    for vx, vq in rows:
+        if vq == 0:
+            raise ValueError("viewpoint is not generic for this cell")
+        if vx < 0 or (vx == 0 and vq < 0):
+            return False
+    # Top facet ε_n x_{π_n} ≤ t (q is compared at the unit dilate).
+    top_x, top_q = values_x[-1], values_q[-1]
+    if top_q == 1:
+        raise ValueError("viewpoint is not generic for this cell")
+    if top_x > t or (top_x == t and top_q > 1):
+        return False
+    return True

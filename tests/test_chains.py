@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -21,7 +22,7 @@ from signedposets.ehrhart import (
 )
 from signedposets.geometry import cube_vertices, order_polytope
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
-from signedposets.linalg import rank, solve_square
+from signedposets.linalg import det
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
 
@@ -133,7 +134,7 @@ def test_reflexive():
 
 
 def test_chain_hstar_pinned():
-    assert hstar_from_counts(chain_polytope(mk(2, ["+1+2"])), 2) == (1, 4, 1)
+    assert hstar_from_counts(chain_polytope(mk(2, ["+1+2"]))) == (1, 4, 1)
 
 
 def test_compare_order_chain_nonequivalence():
@@ -157,14 +158,20 @@ def test_shifted_interior_counts():
 
 def brute_force_vertices(system):
     """Vertices of a bounded system: feasible solutions of full-rank n-row
-    subsets.  Exponential in the row count; the oracle for `cube_vertices`."""
+    subsets, by Cramer's rule.  Exponential in the row count; the oracle for
+    `cube_vertices`."""
     found = set()
     for subset in combinations(system.rows, system.n):
         mat = [row.a for row in subset]
-        if rank(mat) != system.n:
+        d = det(mat)
+        if d == 0:
             continue
-        point = solve_square(mat, [row.b for row in subset])
-        if point is not None and system.contains(point):
+        b = [row.b for row in subset]
+        point = tuple(
+            Fraction(det([[*a[:j], bi, *a[j + 1 :]] for a, bi in zip(mat, b)]), d)
+            for j in range(system.n)
+        )
+        if system.contains(point):
             found.add(point)
     return found
 

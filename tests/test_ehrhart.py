@@ -57,14 +57,14 @@ def test_ehrhart_evaluates_to_counts():
 
 
 def test_hstar_pinned_values():
-    assert hstar_from_counts(order_polytope(mk(2, [])), 2) == (1, 6, 1)
-    assert hstar_from_counts(order_polytope(mk(2, ["+1", "+2"])), 2) == (1, 1)
-    assert hstar_from_counts(order_polytope(mk(3, ["+3"])), 3) == (1, 14, 9)
+    assert hstar_from_counts(order_polytope(mk(2, []))) == (1, 6, 1)
+    assert hstar_from_counts(order_polytope(mk(2, ["+1", "+2"]))) == (1, 1)
+    assert hstar_from_counts(order_polytope(mk(3, ["+3"]))) == (1, 14, 9)
 
 
 def test_hstar_leading_coefficient_is_one():
     for p in enumerate_signed_posets(2):
-        hstar = hstar_from_counts(order_polytope(p), 2)
+        hstar = hstar_from_counts(order_polytope(p))
         assert hstar[0] == 1
         assert all(c >= 0 for c in hstar)
 
@@ -72,13 +72,13 @@ def test_hstar_leading_coefficient_is_one():
 def test_reciprocity():
     assert reciprocity_check(cube(2))
     for p in enumerate_signed_posets(2):
-        assert reciprocity_check(order_polytope(p), 2)
+        assert reciprocity_check(order_polytope(p))
 
 
 def test_gorenstein_index_by_counts():
-    assert gorenstein_index_by_counts(cube(2), 2) == 1  # reflexive
-    assert gorenstein_index_by_counts(order_polytope(mk(2, ["+1", "+2"])), 2) == 2
-    assert gorenstein_index_by_counts(order_polytope(mk(2, ["+2"])), 2) is None
+    assert gorenstein_index_by_counts(cube(2)) == 1  # reflexive
+    assert gorenstein_index_by_counts(order_polytope(mk(2, ["+1", "+2"]))) == 2
+    assert gorenstein_index_by_counts(order_polytope(mk(2, ["+2"]))) is None
 
 
 def test_palindromic_and_unimodal():

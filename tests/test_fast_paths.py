@@ -5,8 +5,8 @@ the half-open oracle's integer viewpoint, the fraction-free simplex, the
 depth-first lattice count and the triangulation check by owner table.  Each
 is compared with the route it replaced on the whole n ≤ 3 catalog (the
 simplex on the LPs of a seeded n = 3 sweep and on fuzzed small LPs; the
-count and the triangulation also on seeded n = 4 posets).  The three
-replaced kernels live in `reference_kernels.py`.  The count solves no LP.
+count and the triangulation also on seeded n = 4 posets).  The replaced
+kernels live in `reference_kernels.py`.  The count solves no LP.
 """
 
 import random
@@ -17,7 +17,13 @@ from itertools import islice, product
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference_kernels import count_by_box_scan, lp_oracle, triangulation_by_cell_scan
+from reference_kernels import (
+    count_by_box_scan,
+    half_open_contains_at,
+    lp_oracle,
+    reference_point,
+    triangulation_by_cell_scan,
+)
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.chains import chain_polytope
 from signedposets import ehrhart, linalg, verify
@@ -30,7 +36,7 @@ from signedposets.geometry import (
     row_is_necessary,
 )
 from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows, rows_from_key
-from signedposets.jordan import half_open_contains_generic, reference_point
+from signedposets.jordan import half_open_contains_generic
 from signedposets.linalg import dot, solve_standard
 from signedposets.perms import enumerate_signed_permutations
 from signedposets.posets import from_generators
@@ -77,7 +83,7 @@ def test_integer_viewpoint_equals_the_rational_reference_point():
             for t in (1, 2):
                 for x in product(range(-t, t + 1), repeat=n):
                     assert half_open_contains_generic(sigma, x, t) == (
-                        half_open_contains_generic(sigma, x, t, q=q)
+                        half_open_contains_at(sigma, x, t, q)
                     )
 
 

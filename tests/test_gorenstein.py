@@ -188,6 +188,6 @@ def test_gorenstein_from_the_minimal_representation_at_n4():
 def test_gorenstein_count_equals_palindromic_hstar(n, expected):
     flags = [is_gorenstein(p) for p in iter_signed_posets(n)]
     assert flags == [
-        is_palindromic(hstar_from_counts(order_polytope(p), n)) for p in iter_signed_posets(n)
+        is_palindromic(hstar_from_counts(order_polytope(p))) for p in iter_signed_posets(n)
     ]
     assert sum(flags) == expected

@@ -1,7 +1,7 @@
 """Jordan–Hölder sets, the unimodular cells, and the descent h* statistic.
 
-The cell owned by σ ∈ JH(P) is chamber(σ) = cell(σ⁻¹): the chamber whose
-interior contains the scaled one-line word of σ.  Several tests below pin
+The cell owned by σ ∈ JH(P) is cell(σ⁻¹): the chamber whose interior
+contains the scaled one-line word of σ.  Several tests below pin
 that convention, because the direct (non-inverse) reading agrees on all
 n ≤ 2 examples and silently breaks at n = 3.
 """
@@ -9,7 +9,6 @@ n ≤ 2 examples and silently breaks at n = 3.
 from fractions import Fraction
 from itertools import product
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,8 +19,6 @@ from signedposets.jordan import (
     cell,
     cell_determinant,
     cell_vertices,
-    chamber,
-    closed_cell_contains,
     half_open_contains,
     half_open_contains_generic,
     hstar_by_descents,
@@ -90,7 +87,6 @@ def test_cells_are_unimodular(sigma):
 def test_cell_contains_its_own_scaled_word(sigma):
     # the interior representative of cell(tau) is the scaled word of tau^{-1}
     q = tuple(Fraction(v, 4) for v in sigma.inverse().as_point())
-    assert closed_cell_contains(sigma, q)
     assert half_open_contains(cell(sigma), q)
 
 
@@ -101,7 +97,6 @@ def test_chamber_is_the_inverse_cell():
             q = tuple(Fraction(v, n + 1) for v in sigma.as_point())
             owners = [tau for tau in group if half_open_contains(cell(tau), q)]
             assert owners == [sigma.inverse()]
-            assert chamber(sigma).sigma == sigma.inverse()
 
 
 @given(perm_words, st.integers(min_value=1, max_value=2))
@@ -110,13 +105,6 @@ def test_half_open_matches_generic_oracle(sigma, t):
     for x in product(range(-t, t + 1), repeat=3):
         assert half_open_contains(cell_, x, t) == half_open_contains_generic(
             sigma, x, t
-        )
-
-
-def test_generic_oracle_rejects_degenerate_viewpoint():
-    with pytest.raises(ValueError):
-        half_open_contains_generic(
-            SignedPermutation((1, 2)), (0, 0), q=(Fraction(1, 2), Fraction(1, 2))
         )
 
 
@@ -159,7 +147,7 @@ def test_hstar_inverse_statistic_is_load_bearing():
         direct[natdes(tau).natdes] += 1
     assert tuple(direct[:3]) == (1, 16, 7)
     assert hstar_by_descents(p) == (1, 14, 9)
-    assert hstar_from_counts(order_polytope(p), 3) == (1, 14, 9)
+    assert hstar_from_counts(order_polytope(p)) == (1, 14, 9)
 
 
 def test_hstar_sums_to_jh_size():
@@ -170,4 +158,4 @@ def test_hstar_sums_to_jh_size():
 def test_hstar_matches_counts_sample():
     for tokens in [["-1+2"], ["+1+2"], ["-1"], ["-1+2", "+2", "+1+2"]]:
         p = mk(2, tokens)
-        assert hstar_by_descents(p) == hstar_from_counts(order_polytope(p), 2)
+        assert hstar_by_descents(p) == hstar_from_counts(order_polytope(p))

@@ -1,19 +1,21 @@
 """The exact-arithmetic kernel, cross-checked against independent oracles
-(Leibniz determinant expansion, direct substitution)."""
+(Leibniz determinant expansion, minors)."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from signedposets import linalg
+from signedposets.catalog import enumerate_signed_posets
+from signedposets.geometry import vertices
+from signedposets.jordan import cell_determinant, jordan_holder
 from signedposets.linalg import (
     det,
-    dot,
     minimize,
     nonneg_combination,
     rank,
-    solve_square,
     solve_standard,
 )
 
@@ -21,36 +23,66 @@ entries = st.integers(min_value=-6, max_value=6)
 matrix3 = st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3)
 
 
+@st.composite
+def matrices(draw):
+    """Integer matrices up to 5×4, and their transposes up to 4×5."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    return [list(col) for col in zip(*rows)] if draw(st.booleans()) else rows
+
+
 def leibniz_det(rows):
     n = len(rows)
-    total = Fraction(0)
+    total = 0
     for perm in permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = Fraction(1)
+        prod = 1
         for i in range(n):
             prod *= rows[i][perm[i]]
         total += sign * prod
     return total
 
 
+def minor_rank(rows):
+    """The largest k with a nonzero k×k minor: a rank that eliminates nothing."""
+    m, k = len(rows), len(rows[0])
+    for size in range(min(m, k), 0, -1):
+        for rs in combinations(range(m), size):
+            for cs in combinations(range(k), size):
+                if leibniz_det([[rows[i][j] for j in cs] for i in rs]):
+                    return size
+    return 0
+
+
 @given(matrix3)
 def test_det_matches_leibniz(rows):
-    assert det(rows) == leibniz_det(rows)
+    value = det(rows)
+    assert type(value) is int and value == leibniz_det(rows)
 
 
-@given(matrix3, st.lists(entries, min_size=3, max_size=3))
-def test_solve_square_substitutes(rows, rhs):
-    x = solve_square(rows, rhs)
-    if det(rows) == 0:
-        assert x is None
-    else:
-        assert x is not None
-        for row, b in zip(rows, rhs):
-            assert dot(row, x) == b
+@given(matrices())
+@example([[0, 1, 2], [0, 2, 4], [0, 0, 1]])
+@example([[0, 0], [0, 0], [0, 0]])
+def test_rank_equals_the_largest_nonzero_minor(rows):
+    assert rank(rows) == minor_rank(rows)
+
+
+def test_vertices_and_cell_determinants_build_no_fraction(monkeypatch):
+    catalog = [p for n in (1, 2) for p in enumerate_signed_posets(n)]
+    windows = [(p, [s.inverse() for s in jordan_holder(p)]) for p in catalog]
+    expected = [(vertices(p), [cell_determinant(w) for w in ws]) for p, ws in windows]
+
+    def no_fraction(*args):
+        raise AssertionError("linalg built a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    got = [(vertices(p), [cell_determinant(w) for w in ws]) for p, ws in windows]
+    assert got == expected
 
 
 @given(matrix3)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedposets.catalog import enumerate_signed_posets, iter_signed_posets
-from signedposets.errors import AsymmetryViolation
+from signedposets.errors import AsymmetryViolation, CycleDetected
 from signedposets.geometry import homogenized_poset
 from signedposets.posets import (
     SignedPoset,
@@ -175,11 +175,21 @@ def test_embedding_closes_transitively():
     assert parse_root("-1+3") in p
 
 
+@pytest.mark.parametrize("relations", [[(1, 2), (2, 3), (3, 1)], [(1, 2), (2, 2)]])
+def test_embedding_rejects_cycles(relations):
+    with pytest.raises(CycleDetected):
+        embed_classical_poset(3, relations)
+
+
 def test_bidirected_graph_shape():
     p = mk(2, ["-1+2", "+1+2"])
     graph = to_bidirected_graph(p)
     assert graph.n == 2
     assert len(graph.edges) == len(p.roots)
+    # fig1: +2 = ½(−1+2) + ½(+1+2) is the one root outside M
+    minimal = {e.root.token() for e in graph.edges if e.minimal}
+    assert minimal == {"-1+2", "+1+2"}
+    assert "+2" in p.tokens()
 
 
 def lp_minimal_representation(p):

@@ -1,5 +1,7 @@
-"""The scripts run from any working directory."""
+"""The scripts run from any working directory, and the report digests hold."""
 
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,3 +28,18 @@ def test_order_vs_chain_runs_outside_the_repo(tmp_path):
     result = run_script("order_vs_chain.py", "--n", "2", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("n = 2: 33 signed posets\n")
+
+
+def test_report_digests_up_to_n2_are_pinned():
+    # Any change to a verification report at n ≤ 2 changes these digests;
+    # `scripts/report_digest.py` prints them, and n = 3's, in full.
+    spec = importlib.util.spec_from_file_location("report_digest", SCRIPTS / "report_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    pinned = {
+        1: (3, "ebdd88b2c5447880003d3e1b288eb7d3ea0d26fe74cd828fc134a3e1660ebfd1"),
+        2: (33, "35cb27dcac0aec3b176ff26ba16016cdc853331d267b086f039019eb33d3ea1c"),
+    }
+    for n, expected in pinned.items():
+        count, data = script.rank_digest(n)
+        assert (count, hashlib.sha256(data).hexdigest()) == expected

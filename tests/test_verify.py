@@ -10,7 +10,7 @@ from signedposets.ehrhart import count_points
 from signedposets.geometry import order_polytope_irredundant
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
 from signedposets.jordan import DescentData, jordan_holder, naturalize, owner_table
-from signedposets.perms import enumerate_signed_permutations
+from signedposets.perms import SignedPermutation, enumerate_signed_permutations
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
 from signedposets.verify import (
@@ -218,6 +218,20 @@ def test_triangulation_check_fails_when_jh_gains_a_cell_outside_the_polytope(mon
     # The cell scan tests only the points of O_P, so it misses this one.
     monkeypatch.setattr(reference_kernels, "jordan_holder", gained)
     assert reference_kernels.triangulation_by_cell_scan(mk(2, FIG1)).passed
+
+
+def test_triangulation_check_sees_the_all_negative_window_at_n4(monkeypatch):
+    # The cell of window (−1, −2, −3, −4) has four strict facets, so it holds
+    # no lattice point below t = 4; a JH set that wrongly names it is caught
+    # only at t = 4.
+    p = mk(4, ["+1"])
+    _, image = naturalize(p)
+    stranger = SignedPermutation((-1, -2, -3, -4))
+    assert stranger not in jordan_holder(image) and stranger.inverse() == stranger
+    monkeypatch.setattr(verify, "jordan_holder", lambda q: jordan_holder(q) + [stranger])
+    bad = _failed_with_counterexample(verify.check_triangulation(p))
+    corner = [-1, -2, -3, -4]
+    assert bad == {"t": 4, "x": corner, "owner": corner, "in_polytope": False}
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from .errors import (
     InputError,
     InternalInconsistency,
     NegativeHstar,
-    NonIntegralHstar,
     OracleMismatch,
     ParseError,
     SignedPosetError,
@@ -90,7 +89,6 @@ __all__ = [
     "InputError",
     "InternalInconsistency",
     "NegativeHstar",
-    "NonIntegralHstar",
     "OracleMismatch",
     "ParseError",
     "PosetDocument",

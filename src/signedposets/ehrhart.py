@@ -7,8 +7,9 @@ with a single nonzero coordinate, by one integer formula for every dilate;
 no LP is solved here.  Every system the library counts has such rows on each
 coordinate side (O_P's and C_P's cube rows among them).  Counts are cached on
 the systems' integer rows in an LRU cache of fixed size.
-Interpolation uses the nodes t = 0..n, the smallest exact determining set for
-a degree-n polynomial.
+Ehrhart data has one form, the integer h* of the counts at t = 0..n; nothing
+is interpolated.  ehr(t) = Σ_j h*_j·C(t+n−j, n) is evaluated in integers at
+any integer t, and only `ehrhart_polynomial` divides, by n!, into `Fraction`.
 """
 
 from __future__ import annotations
@@ -16,27 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    InternalInconsistency,
-    NegativeHstar,
-    NonIntegralHstar,
-    UnboundedSystem,
-)
+from .errors import InternalInconsistency, NegativeHstar, UnboundedSystem
 from .halfspaces import HalfspaceSystem, Rows, rows_from_key
-
-Poly = tuple[Fraction, ...]
-
-
-def poly_eval(coeffs: Sequence[Fraction | int], t) -> Fraction:
-    """Evaluate Σ c_k t^k exactly."""
-    total = Fraction(0)
-    power = Fraction(1)
-    for c in coeffs:
-        total += c * power
-        power *= t
-    return total
 
 
 def _integer_box(n: int, rows: Rows, t: int) -> list[tuple[int, int]]:
@@ -162,55 +146,78 @@ count_points.cache_info = _count.cache_info
 count_points.cache_clear = _count.cache_clear
 
 
-def ehrhart_polynomial(system: HalfspaceSystem) -> Poly:
-    """Exact Lagrange interpolation of t ↦ |tP ∩ Z^n| through t = 0..n."""
+def _hstar(system: HalfspaceSystem) -> list[int]:
+    """The raw h*-vector of the counts at t = 0..n, untrimmed and unchecked:
+    h*_j = Σ_i (−1)^i C(n+1, i) ehr(j−i), j = 0..n."""
     n = system.n
     counts = [count_points(system, t) for t in range(n + 1)]
-    coeffs = [Fraction(0)] * (n + 1)
-    for t, value in enumerate(counts):
-        # Lagrange basis polynomial for node t over nodes 0..n.
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for s in range(n + 1):
-            if s == t:
-                continue
-            # multiply basis by (x - s)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * s
-                nxt[k + 1] += c
-            basis = nxt
-            denom *= t - s
-        scale = Fraction(value) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    if coeffs[n] <= 0:
+    return [
+        sum((-1) ** i * math.comb(n + 1, i) * counts[j - i] for i in range(j + 1))
+        for j in range(n + 1)
+    ]
+
+
+def ehrhart_values(system: HalfspaceSystem, ts: Iterable[int]) -> list[int]:
+    """ehr(t) = Σ_j h*_j·C(t+n−j, n) at each integer t, negative t included.
+
+    C(x, n) = x(x−1)…(x−n+1)/n! is exact in integers.  The h* is raw, so a
+    non-lattice polytope (h* may be negative) still evaluates.  On [−1, 1]²,
+    h* = (1, 6, 1), ehr(t) = 1 + 4t + 4t² and (−1)²·ehr(−t) = (2t − 1)²:
+
+    >>> from signedposets.halfspaces import cube_rows
+    >>> square = HalfspaceSystem(2, tuple(cube_rows(2)))
+    >>> hstar_from_counts(square)
+    (1, 6, 1)
+    >>> ehrhart_values(square, range(4))
+    [1, 9, 25, 49]
+    >>> ehrhart_values(square, (-1, -2, -3))
+    [1, 9, 25]
+    """
+    n, hstar = system.n, _hstar(system)
+    return [
+        sum(h * math.prod(range(t - j + 1, t + n - j + 1)) for j, h in enumerate(hstar))
+        // math.factorial(n)
+        for t in ts
+    ]
+
+
+def ehrhart_polynomial(system: HalfspaceSystem) -> tuple[Fraction, ...]:
+    """Coefficients of ehr(t) = Σ_j h*_j·C(t+n−j, n), lowest degree first.
+
+    The sum is expanded in integers and divided by n! once.  Its leading
+    coefficient Σ h*/n! must be positive, or the polytope is not
+    full-dimensional.
+
+    >>> from signedposets.halfspaces import cube_rows
+    >>> square = HalfspaceSystem(2, tuple(cube_rows(2)))
+    >>> [str(c) for c in ehrhart_polynomial(square)]  # 1 + 4t + 4t²
+    ['1', '4', '4']
+    """
+    n = system.n
+    numerators = [0] * (n + 1)
+    for j, h in enumerate(_hstar(system)):
+        product = [1]  # coefficients of ∏ (t + c), lowest degree first
+        for c in range(1 - j, n - j + 1):
+            product = [c * lo + hi for lo, hi in zip(product + [0], [0] + product)]
+        for k, value in enumerate(product):
+            numerators[k] += h * value
+    if numerators[n] <= 0:
         raise InternalInconsistency(
-            f"Ehrhart interpolation gave degree < {n} (leading {coeffs[n]}); "
+            f"Ehrhart polynomial of degree < {n} (Σ h* = {numerators[n]}); "
             "the polytope is not full-dimensional"
         )
-    return tuple(coeffs)
+    return tuple(Fraction(c, math.factorial(n)) for c in numerators)
 
 
 def hstar_from_counts(system: HalfspaceSystem) -> tuple[int, ...]:
-    """h*-vector from raw counts: h*_j = Σ_i (−1)^i C(n+1, i) ehr(j−i).
+    """h*-vector from the counts at t = 0..n, trailing zeros trimmed.
 
-    Integrality and nonnegativity are asserted; failures mean the counting
-    kernel is broken and raise loudly.
+    A negative entry means the counting kernel is broken (or the polytope is
+    not a lattice polytope) and raises `NegativeHstar`.
     """
-    n = system.n
-    counts = [count_points(system, t) for t in range(n + 1)]
-    hstar = []
-    for j in range(n + 1):
-        value = sum(
-            (-1) ** i * math.comb(n + 1, i) * counts[j - i] for i in range(j + 1)
-        )
-        hstar.append(value)
-    for value in hstar:
-        if not isinstance(value, int):  # pragma: no cover - ints in, ints out
-            raise NonIntegralHstar(f"h* = {hstar}")
-        if value < 0:
-            raise NegativeHstar(f"h* = {hstar}")
+    hstar = _hstar(system)
+    if any(value < 0 for value in hstar):
+        raise NegativeHstar(f"h* = {hstar}")
     while len(hstar) > 1 and hstar[-1] == 0:
         hstar.pop()
     return tuple(hstar)
@@ -219,11 +226,10 @@ def hstar_from_counts(system: HalfspaceSystem) -> tuple[int, ...]:
 def reciprocity_check(system: HalfspaceSystem) -> bool:
     """Ehrhart–Macdonald: (−1)^n ehr(−t) must equal the strict count, t = 1..n+1."""
     n = system.n
-    ehr = ehrhart_polynomial(system)
-    sign = (-1) ** n
+    values = ehrhart_values(system, range(-1, -n - 2, -1))
     return all(
-        sign * poly_eval(ehr, -t) == count_points(system, t, strict=True)
-        for t in range(1, n + 2)
+        (-1) ** n * value == count_points(system, t, strict=True)
+        for t, value in enumerate(values, 1)
     )
 
 

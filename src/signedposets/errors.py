@@ -49,10 +49,6 @@ class UnboundedSystem(SignedPosetError):
     bounding it, so its lattice points cannot be counted."""
 
 
-class NonIntegralHstar(SignedPosetError):
-    """h* coefficients came out non-integral (signals a counting bug)."""
-
-
 class NegativeHstar(SignedPosetError):
     """h* coefficients came out negative (signals a counting bug)."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CycleDetected, OracleMismatch
+from .errors import CycleDetected
 from .halfspaces import Halfspace, HalfspaceSystem, cube_rows, dedupe_rows
 from .posets import SignedPoset, minimal_representation
 
@@ -179,14 +179,10 @@ def is_graded(q: ClassicalPoset) -> GradedReport:
 
 
 def gorenstein_index_from_grading(report: GradedReport) -> Optional[int]:
-    """Chains of length 2k−2 mean Gorenstein index k."""
+    """Chains of length 2k−2 mean Gorenstein index k (`is_graded` reports
+    graded only for an even common length)."""
     if not report.graded:
         return None
-    if report.max_chain_length % 2 != 0:  # pragma: no cover - is_graded forbids
-        raise OracleMismatch(
-            "graded Fischer representation with odd maximal chain length",
-            {"length": report.max_chain_length},
-        )
     return report.max_chain_length // 2 + 1
 
 

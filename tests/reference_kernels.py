@@ -10,13 +10,16 @@ table: every lattice point of each dilate of O_P tested against every JH
 cell, and against the generic-viewpoint oracle at t ≤ 2.
 `half_open_contains_at` is that oracle before it went to integers: the
 beyond-facet rule at any rational viewpoint, `reference_point(n)` among them.
+`ehrhart_by_interpolation` is the Ehrhart polynomial before it came from h*:
+the `Fraction` Lagrange interpolation of the counts at t = 0..n, evaluated by
+`poly_eval`; `reciprocity_by_interpolation` is reciprocity on it.
 """
 
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from signedposets.ehrhart import integer_box
+from signedposets.ehrhart import count_points, integer_box
 from signedposets.geometry import order_polytope
 from signedposets.jordan import (
     cell,
@@ -159,7 +162,7 @@ def triangulation_by_cell_scan(p) -> CheckResult:
     partition_ok = True
     oracle_ok = True
     bad: Optional[dict] = None
-    for t in range(1, T_MAX + 1):
+    for t in range(1, max(T_MAX, p.n) + 1):
         for x in _lattice_points(system, t):
             owners = sum(1 for c in cells if half_open_contains(c, x, t))
             if owners != 1:
@@ -220,3 +223,47 @@ def half_open_contains_at(sigma: SignedPermutation, x, t: int, q) -> bool:
     if top_x > t or (top_x == t and top_q > 1):
         return False
     return True
+
+
+def poly_eval(coeffs, t) -> Fraction:
+    """Evaluate Σ c_k t^k exactly."""
+    total = _ZERO
+    power = _ONE
+    for c in coeffs:
+        total += c * power
+        power *= t
+    return total
+
+
+def ehrhart_by_interpolation(system) -> tuple[Fraction, ...]:
+    """Exact Lagrange interpolation of t ↦ |tP ∩ Z^n| through t = 0..n."""
+    n = system.n
+    counts = [count_points(system, t) for t in range(n + 1)]
+    coeffs = [_ZERO] * (n + 1)
+    for t, value in enumerate(counts):
+        # Lagrange basis polynomial for node t over nodes 0..n.
+        basis = [_ONE]
+        denom = _ONE
+        for s in range(n + 1):
+            if s == t:
+                continue
+            # multiply basis by (x - s)
+            nxt = [_ZERO] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                nxt[k] -= c * s
+                nxt[k + 1] += c
+            basis = nxt
+            denom *= t - s
+        scale = Fraction(value) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    return tuple(coeffs)
+
+
+def reciprocity_by_interpolation(system) -> bool:
+    """(−1)^n ehr(−t) = strict count at t = 1..n+1, on the interpolation."""
+    ehr = ehrhart_by_interpolation(system)
+    return all(
+        (-1) ** system.n * poly_eval(ehr, -t) == count_points(system, t, strict=True)
+        for t in range(1, system.n + 2)
+    )

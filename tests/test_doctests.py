@@ -2,10 +2,10 @@ import doctest
 
 import pytest
 
-from signedposets import jordan, linalg, perms, posets, roots
+from signedposets import ehrhart, jordan, linalg, perms, posets, roots
 
 
-@pytest.mark.parametrize("module", [roots, posets, perms, linalg, jordan])
+@pytest.mark.parametrize("module", [roots, posets, perms, linalg, jordan, ehrhart])
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from reference_kernels import poly_eval
+from signedposets import ehrhart, verify
 from signedposets.catalog import enumerate_signed_posets
+from signedposets.chains import chain_polytope
 from signedposets.ehrhart import (
     count_points,
     ehrhart_polynomial,
@@ -12,12 +15,11 @@ from signedposets.ehrhart import (
     integer_box,
     is_palindromic,
     is_unimodal,
-    poly_eval,
     poly_to_json,
     reciprocity_check,
 )
 from signedposets.geometry import order_polytope, signed_filters
-from signedposets.errors import UnboundedSystem
+from signedposets.errors import InternalInconsistency, UnboundedSystem
 from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
@@ -54,6 +56,30 @@ def test_ehrhart_evaluates_to_counts():
         for t in range(4):
             assert poly_eval(coeffs, t) == count_points(system, t)
         assert poly_eval(coeffs, 1) == len(signed_filters(p))
+
+
+def test_a_flat_system_has_no_ehrhart_polynomial():
+    # The segment x1 = 0 inside [−1, 1]²: counts 1, 3, 5, raw h* (1, 0, −1).
+    segment = HalfspaceSystem(
+        2, (*cube_rows(2), Halfspace((1, 0), 0), Halfspace((-1, 0), 0))
+    )
+    with pytest.raises(InternalInconsistency, match="not full-dimensional"):
+        ehrhart_polynomial(segment)
+
+
+def test_hstar_reciprocity_and_the_chain_check_build_no_fraction(monkeypatch):
+    catalog = [p for n in (1, 2) for p in enumerate_signed_posets(n)]
+
+    def no_fraction(*args):
+        raise AssertionError("ehrhart built a Fraction")
+
+    monkeypatch.setattr(ehrhart, "Fraction", no_fraction)
+    for p in catalog:
+        for system in (order_polytope(p), chain_polytope(p)):
+            assert hstar_from_counts(system)[0] == 1
+            assert reciprocity_check(system)
+            gorenstein_index_by_counts(system)
+        assert verify.check_chain_polytope(p).passed
 
 
 def test_hstar_pinned_values():

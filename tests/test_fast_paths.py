@@ -2,11 +2,12 @@
 
 The fast paths are: `dot` in integers, the witness-first `row_is_necessary`,
 the half-open oracle's integer viewpoint, the fraction-free simplex, the
-depth-first lattice count and the triangulation check by owner table.  Each
-is compared with the route it replaced on the whole n ≤ 3 catalog (the
-simplex on the LPs of a seeded n = 3 sweep and on fuzzed small LPs; the
-count and the triangulation also on seeded n = 4 posets).  The replaced
-kernels live in `reference_kernels.py`.  The count solves no LP.
+depth-first lattice count, the triangulation check by owner table and the
+Ehrhart polynomial from integer h*.  Each is compared with the route it
+replaced on the whole n ≤ 3 catalog (the simplex on the LPs of a seeded
+n = 3 sweep and on fuzzed small LPs; the count, the triangulation and the
+Ehrhart polynomial also on seeded n = 4 posets).  The replaced kernels live
+in `reference_kernels.py`.  The count solves no LP.
 """
 
 import random
@@ -19,15 +20,23 @@ from hypothesis import strategies as st
 
 from reference_kernels import (
     count_by_box_scan,
+    ehrhart_by_interpolation,
     half_open_contains_at,
     lp_oracle,
+    poly_eval,
+    reciprocity_by_interpolation,
     reference_point,
     triangulation_by_cell_scan,
 )
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.chains import chain_polytope
 from signedposets import ehrhart, linalg, verify
-from signedposets.ehrhart import count_points
+from signedposets.ehrhart import (
+    count_points,
+    ehrhart_polynomial,
+    ehrhart_values,
+    reciprocity_check,
+)
 from signedposets.errors import AsymmetryViolation
 from signedposets.geometry import (
     _lp_row_is_necessary,
@@ -41,7 +50,12 @@ from signedposets.linalg import dot, solve_standard
 from signedposets.perms import enumerate_signed_permutations
 from signedposets.posets import from_generators
 from signedposets.roots import all_roots
-from signedposets.verify import check_triangulation, subchain_trials, verify_poset
+from signedposets.verify import (
+    check_chain_polytope,
+    check_triangulation,
+    subchain_trials,
+    verify_poset,
+)
 
 CATALOG = [p for n in (1, 2, 3) for p in enumerate_signed_posets(n)]
 
@@ -267,8 +281,37 @@ def test_triangulation_by_owner_equals_the_cell_scan_up_to_n3():
 
 
 def test_triangulation_by_owner_equals_the_cell_scan_at_n4():
-    for p in _seeded_posets(4, 30, "count-oracle:4"):
+    # Both look at t = 1..4.  The ten one-root posets (|JH| = 192) take the
+    # cell scan 2-3 s each, so the first with a long root (−1+2) and the first
+    # with a short root (+1) stand for them; the 20 others are all scanned.
+    posets = _seeded_posets(4, 30, "count-oracle:4")
+    one_root = [p for p in posets if len(p.roots) == 1]
+    for p in [p for p in posets if len(p.roots) > 1] + one_root[:2]:
         assert check_triangulation(p) == triangulation_by_cell_scan(p), p.tokens()
+
+
+def _ehrhart_agrees(p):
+    for system in (order_polytope(p), chain_polytope(p)):
+        ehr = ehrhart_by_interpolation(system)
+        assert ehrhart_polynomial(system) == ehr, p.tokens()
+        ts = range(-system.n - 2, system.n + 4)
+        assert ehrhart_values(system, ts) == [poly_eval(ehr, t) for t in ts]
+        assert reciprocity_check(system) == reciprocity_by_interpolation(system)
+    cp = chain_polytope(p)
+    ehr = ehrhart_by_interpolation(cp)
+    assert check_chain_polytope(p).detail["polynomial_counts"] == all(
+        poly_eval(ehr, t) == count_points(cp, t) for t in (p.n + 1, p.n + 2)
+    )
+
+
+def test_ehrhart_from_hstar_equals_the_interpolation_up_to_n3():
+    for p in CATALOG:
+        _ehrhart_agrees(p)
+
+
+def test_ehrhart_from_hstar_equals_the_interpolation_at_n4():
+    for p in _seeded_posets(4, 30, "count-oracle:4"):
+        _ehrhart_agrees(p)
 
 
 def test_every_count_of_a_verify_sweep_solves_no_lp(monkeypatch):

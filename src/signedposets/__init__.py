@@ -71,7 +71,6 @@ from .posets import (
     SignedPoset,
     embed_classical_poset,
     from_generators,
-    is_closed,
     minimal_representation,
     plc,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "hstar_from_counts",
     "inner_product",
     "interior_point",
-    "is_closed",
     "is_gorenstein",
     "is_graded",
     "is_naturally_labeled",

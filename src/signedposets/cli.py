@@ -65,6 +65,8 @@ from .verify import (
     check_fischer_halfspaces,
     check_gorenstein_triple,
     check_hstar_oracles,
+    closed_by_filters,
+    derives,
     verify_catalog,
     verify_poset,
 )
@@ -83,7 +85,7 @@ def cmd_validate(args, doc, p):
         "size": len(p.roots),
         "generators_already_closed": frozenset(doc.generators) == p.roots,
     }
-    return (results, {"asymmetric": True, "closed": True},
+    return (results, {"asymmetric": True, "closed": closed_by_filters(p)},
             f"valid signed poset on [{p.n}] with {len(p.roots)} roots")
 
 
@@ -96,7 +98,7 @@ def cmd_closure(args, doc, p):
 def cmd_minrep(args, doc, p):
     m = minimal_representation(p)
     results = {"minimal": sorted(a.token() for a in m), "size": len(m)}
-    return (results, {"regenerates": True},
+    return (results, {"regenerates": derives(m, p)},
             f"minimal representation has {len(m)} of {len(p.roots)} roots")
 
 

@@ -62,6 +62,8 @@ def parse_poset(text: str) -> PosetDocument:
                 raise ParseError("n must be at least 1", lineno, line.index("=") + 2)
             n_line = lineno
         elif stripped.startswith("name") and stripped[4:].lstrip().startswith("="):
+            if name is not None:
+                raise ParseError("duplicate name line", lineno, indent + 1)
             name = stripped.split("=", 1)[1].strip()
         elif stripped.startswith("roots:"):
             if seen_roots_line:

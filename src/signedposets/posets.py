@@ -5,22 +5,20 @@ Closure is computed on root bitmasks by Reiner's pairwise rule (V. Reiner,
 put that root in P.  Between two roots of B_n that rule yields α + β,
 (α + β)/2, or α + 2β = (α + β) + β where α + β is itself a root; so the
 fixpoint over one integer table per n, {α+β, (α+β)/2} ∩ B_n for every pair,
-is the rule's fixpoint (`close_mask`).  It always lies inside
-plc(S) = cone(S) ∩ B_n.  When it is asymmetric it is a signed poset in
-Reiner's sense and equals plc(S): the two definitions agree, which the LP
-confirmed on all 60,201 signed posets at n = 4 and the tests re-check.  Only
-a symmetric fixpoint sends `plc` back to the exact rational LP, one
-feasibility test per root.  `cone_contains` and `is_closed` keep the LP:
-they are the definition, and the oracle the kernel is checked against.
+is the rule's fixpoint (`close_mask`).  It lies inside plc(S) = cone(S) ∩ B_n,
+so `plc` raises AsymmetryViolation on a ±α pair in it; an asymmetric one is
+a signed poset in Reiner's sense and equals plc(S).  `verify` proves that
+with integer certificates, and the tests pin `plc` to the LP definition,
+`cone_contains`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
-from .errors import AsymmetryViolation, CycleDetected, InternalInconsistency
+from .errors import AsymmetryViolation, CycleDetected
 from .linalg import nonneg_combination
 from .roots import Root, all_roots
 
@@ -108,19 +106,13 @@ def close_mask(kernel: RootKernel, mask: int, closed: int = 0) -> int:
     return closed
 
 
-def _check_indices(roots: Iterable[Root], n: int) -> None:
-    for alpha in roots:
-        if alpha.max_index > n:
-            raise IndexError(f"root {alpha} does not fit in dimension {n}")
-
-
-def cone_contains(gamma: Root, s: Iterable[Root], n: Optional[int] = None) -> bool:
-    """Is γ a nonnegative rational combination of the roots in s?
+def cone_contains(gamma: Root, s: Iterable[Root], n: int) -> bool:
+    """Is γ a nonnegative rational combination of the roots in s?  (The LP.)
 
     >>> from .roots import parse_root as r
-    >>> cone_contains(r("+2"), {r("-1+2"), r("+1+2")})
+    >>> cone_contains(r("+2"), {r("-1+2"), r("+1+2")}, 2)
     True
-    >>> cone_contains(r("+1"), {r("-1+2"), r("+1+2")})
+    >>> cone_contains(r("+1"), {r("-1+2"), r("+1+2")}, 2)
     False
     """
     s = list(s)
@@ -128,36 +120,30 @@ def cone_contains(gamma: Root, s: Iterable[Root], n: Optional[int] = None) -> bo
         return True
     if not s:
         return False
-    if n is None:
-        n = max(gamma.max_index, max(alpha.max_index for alpha in s))
     vectors = [alpha.vector(n) for alpha in s]
     return nonneg_combination(vectors, gamma.vector(n)) is not None
 
 
-def lp_closure(s: Iterable[Root], n: int) -> frozenset[Root]:
-    """{γ ∈ B_n : γ ∈ cone(s)} by one exact LP per root: the definition of plc."""
-    s = frozenset(s)
-    _check_indices(s, n)
-    return s | frozenset(
-        gamma for gamma in all_roots(n) if gamma not in s and cone_contains(gamma, s, n)
-    )
-
-
 def plc(s: Iterable[Root], n: int) -> frozenset[Root]:
     """Positive linear closure of s inside B_n: {γ ∈ B_n : γ ∈ cone(s)}.
+
+    Raises AsymmetryViolation, naming the smallest offending root, when the
+    closure contains some ±α pair: the roots s then span no signed poset.
 
     >>> from .roots import parse_root as r
     >>> sorted(a.token() for a in plc([r("-1+2"), r("+1+2")], 2))
     ['+1+2', '+2', '-1+2']
     """
     s = frozenset(s)
-    _check_indices(s, n)
+    for alpha in s:
+        if alpha.max_index > n:
+            raise IndexError(f"root {alpha} does not fit in dimension {n}")
     kernel = root_kernel(n)
     closed = close_mask(kernel, kernel.mask(s))
-    if not kernel.clash(closed):
-        return kernel.members(closed)
-    # Not a signed poset: the pairwise rule is not known to reach cone(s).
-    return lp_closure(s, n)
+    clash = kernel.clash(closed)
+    if clash:
+        raise AsymmetryViolation(kernel.roots[(clash & -clash).bit_length() - 1])
+    return kernel.members(closed)
 
 
 @dataclass(frozen=True)
@@ -165,8 +151,8 @@ class SignedPoset:
     """A signed poset: ground size n plus a closed asymmetric root set.
 
     The constructor checks asymmetry and index bounds (cheap); closure is the
-    responsibility of the factory functions (`from_generators`) and is
-    re-checkable via `is_closed`.
+    responsibility of the factory functions (`from_generators`), and
+    `verify.check_minimal_representation` proves it.
     """
 
     n: int
@@ -198,50 +184,23 @@ class SignedPoset:
         return f"SignedPoset(n={self.n}, {{{' '.join(self.tokens())}}})"
 
 
-def is_closed(p: SignedPoset) -> bool:
-    """Does plc fix the root set?  (Definitional check, LP-backed.)"""
-    return lp_closure(p.roots, p.n) == p.roots
-
-
 def from_generators(n: int, generators: Iterable[Root]) -> SignedPoset:
-    """Close the generators and validate asymmetry of the closure.
-
-    Raises AsymmetryViolation, naming the smallest offending root, when the
-    closure contains some ±α pair — the generators then span no signed
-    poset.  The pairwise fixpoint lies inside plc, so a pair found there is
-    in plc too.
-    """
-    generators = frozenset(generators)
-    _check_indices(generators, n)
-    kernel = root_kernel(n)
-    closed = close_mask(kernel, kernel.mask(generators))
-    clash = kernel.clash(closed)
-    if clash:
-        raise AsymmetryViolation(kernel.roots[(clash & -clash).bit_length() - 1])
-    return SignedPoset(n, kernel.members(closed))
+    """The signed poset plc(generators); AsymmetryViolation if there is none."""
+    return SignedPoset(n, plc(generators, n))
 
 
 def minimal_representation(p: SignedPoset) -> frozenset[Root]:
     """The unique minimal subset M ⊆ P with plc(M) = P.
 
     M = {α ∈ P : α ∉ closure(P ∖ α)}, the roots that are not nonnegative
-    combinations of the others.  That the closure of M is P again is
-    guaranteed by the theory; it is re-verified here and a failure raises
-    InternalInconsistency.
+    combinations of the others.  That M regenerates P is the theory;
+    `verify.check_minimal_representation` proves it, with no LP.
     """
     kernel = root_kernel(p.n)
     full = kernel.mask(p.roots)
-    m = 0
-    for k in _bits(full):
-        if not close_mask(kernel, full ^ (1 << k)) >> k & 1:
-            m |= 1 << k
-    regenerated = kernel.members(close_mask(kernel, m))
-    if regenerated != p.roots:
-        raise InternalInconsistency(
-            f"minimal representation of {p!r} closes to "
-            f"{{{' '.join(a.token() for a in sorted(regenerated))}}}"
-        )
-    return kernel.members(m)
+    return kernel.members(
+        sum(1 << k for k in _bits(full) if not close_mask(kernel, full ^ 1 << k) >> k & 1)
+    )
 
 
 def embed_classical_poset(

@@ -1,10 +1,12 @@
 """Cross-oracle verification suites.
 
 Every structural claim the library makes is re-checked here by an
-independent route: descent-counted h* against lattice-point-counted h*; the
-irredundant description's rows certified necessary by integer witnesses or
-the LP, its containment in the cube proved by the LP, and its lattice counts
-against O_P's; the half-open triangulation against plain point membership
+independent route: P's closure and minimal representation M by integer
+certificates (signed filters, and a derivation of P from M), with no LP;
+descent-counted h* against lattice-point-counted h*; the irredundant
+description's rows certified necessary by integer witnesses or the LP, its
+containment in the cube proved by the LP, and its lattice counts against
+O_P's; the half-open triangulation against plain point membership
 (`jordan.owner_table` proves the cells' partition of each cube dilate once
 per (n, t), so a poset's JH cells need one owner lookup per cube point);
 Fischer gradedness against counting Gorenstein indices; the chain polytope's
@@ -73,12 +75,8 @@ from .jordan import (
     owner_table,
 )
 from .perms import act_poset, enumerate_signed_permutations
-from .posets import (
-    SignedPoset,
-    cone_contains,
-    is_closed,
-    minimal_representation,
-)
+from .posets import SignedPoset, minimal_representation, root_kernel
+from .roots import inner_product
 
 
 # The checks that count dilates look at t = 1..T_MAX; the triangulation looks
@@ -160,19 +158,58 @@ def pad_equal(a, b) -> bool:
     return tuple(a) + (0,) * (width - len(a)) == tuple(b) + (0,) * (width - len(b))
 
 
-def check_minimal_representation(p: SignedPoset) -> CheckResult:
-    """The bitmask kernel's M against the LP.
+@lru_cache(maxsize=None)
+def _negative_masks(n: int) -> tuple[int, ...]:
+    """For each x ∈ {−1, 0, 1}ⁿ, the mask of the roots α with ⟨α, x⟩ < 0."""
+    roots = root_kernel(n).roots
+    return tuple(
+        sum(1 << k for k, alpha in enumerate(roots) if inner_product(alpha, x) < 0)
+        for x in product((-1, 0, 1), repeat=n)
+    )
 
-    P is LP-closed (no root outside P lies in cone(P)), no m ∈ M lies in
-    cone(M ∖ m), and P ∖ M ⊆ cone(M): together, plc(M) = P with M minimal.
-    """
+
+def _separated(mask: int, n: int) -> int:
+    """The mask of the roots negative at some x ∈ {−1, 0, 1}ⁿ where the roots
+    of `mask` are nonnegative: none of them is in their cone (Farkas' lemma)."""
+    out = 0
+    for negative in _negative_masks(n):
+        if not negative & mask:
+            out |= negative
+    return out
+
+
+def closed_by_filters(p: SignedPoset) -> bool:
+    """Whether each root outside P is negative at a signed filter of P."""
+    mask = root_kernel(p.n).mask(p.roots)
+    return _separated(mask, p.n) | mask == (1 << 2 * p.n**2) - 1  # 2n² roots
+
+
+def derives(m: frozenset, p: SignedPoset) -> bool:
+    """Whether M ⊆ P reaches all of P, each new root γ as α + β or (α + β)/2
+    of roots α, β reached before it (β = γ − α or 2γ − α), so P ⊆ cone(M).
+    On integer vectors, not the kernel's table."""
+    reached = {alpha.vector(p.n) for alpha in m}
+    todo = {alpha.vector(p.n) for alpha in p.roots} - reached
+    while new := {
+        g for g in todo for a in reached for k in (1, 2)
+        if tuple(k * x - y for x, y in zip(g, a)) in reached
+    }:
+        reached |= new
+        todo -= new
+    return not todo and m <= p.roots
+
+
+def check_minimal_representation(p: SignedPoset) -> CheckResult:
+    """The bitmask kernel's M, proved with integer certificates and no LP:
+    P is closed, each α ∈ M is separated from cone(M ∖ α), and M ⊆ P
+    derives all of P.  Together, plc(M) = P with M minimal."""
     m = minimal_representation(p)
-    closed = is_closed(p)
-    irredundant = all(not cone_contains(alpha, m - {alpha}, p.n) for alpha in m)
-    regenerated = all(cone_contains(alpha, m, p.n) for alpha in p.roots - m)
+    kernel = root_kernel(p.n)
+    mask = kernel.mask(m)
+    irredundant = all(_separated(mask ^ 1 << k, p.n) >> k & 1 for k in map(kernel.index.get, m))
     return CheckResult(
         "minimal-representation",
-        closed and regenerated and irredundant,
+        closed_by_filters(p) and irredundant and derives(m, p),
         {"poset_size": len(p.roots), "minrep_size": len(m)},
     )
 

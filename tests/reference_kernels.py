@@ -13,12 +13,17 @@ beyond-facet rule at any rational viewpoint, `reference_point(n)` among them.
 `ehrhart_by_interpolation` is the Ehrhart polynomial before it came from h*:
 the `Fraction` Lagrange interpolation of the counts at t = 0..n, evaluated by
 `poly_eval`; `reciprocity_by_interpolation` is reciprocity on it.
+`lp_closure` is plc by its definition, one exact LP per root, and
+`is_closed` asks it whether a root set is closed;
+`minimal_representation_by_lp` is the minimal-representation check before
+its integer certificates: the same three claims, each decided by the LP.
 """
 
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+from signedposets import verify
 from signedposets.ehrhart import count_points, integer_box
 from signedposets.geometry import order_polytope
 from signedposets.jordan import (
@@ -30,6 +35,8 @@ from signedposets.jordan import (
     naturalize,
 )
 from signedposets.perms import SignedPermutation
+from signedposets.posets import cone_contains
+from signedposets.roots import all_roots
 from signedposets.verify import T_MAX, CheckResult
 
 _ZERO = Fraction(0)
@@ -266,4 +273,32 @@ def reciprocity_by_interpolation(system) -> bool:
     return all(
         (-1) ** system.n * poly_eval(ehr, -t) == count_points(system, t, strict=True)
         for t in range(1, system.n + 2)
+    )
+
+
+def lp_closure(s, n: int) -> frozenset:
+    """{γ ∈ B_n : γ ∈ cone(s)} by one exact LP per root: the definition of plc."""
+    s = frozenset(s)
+    return s | frozenset(
+        gamma for gamma in all_roots(n) if gamma not in s and cone_contains(gamma, s, n)
+    )
+
+
+def is_closed(p) -> bool:
+    """Does plc fix the root set?  (The definition, by the LP.)"""
+    return lp_closure(p.roots, p.n) == p.roots
+
+
+def minimal_representation_by_lp(p) -> CheckResult:
+    """`check_minimal_representation` by the LP: P is LP-closed, no m ∈ M lies
+    in cone(M ∖ m), and P ∖ M ⊆ cone(M).  M is `verify.minimal_representation`,
+    looked up when called, so a test that patches it patches both checks."""
+    m = verify.minimal_representation(p)
+    closed = is_closed(p)
+    irredundant = all(not cone_contains(alpha, m - {alpha}, p.n) for alpha in m)
+    regenerated = all(cone_contains(alpha, m, p.n) for alpha in p.roots - m)
+    return CheckResult(
+        "minimal-representation",
+        closed and regenerated and irredundant,
+        {"poset_size": len(p.roots), "minrep_size": len(m)},
     )

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from reference_kernels import is_closed
 from signedposets.catalog import (
     canonical_form,
     census,
@@ -12,8 +13,9 @@ from signedposets.catalog import (
     naturally_labeled_count,
 )
 from signedposets.perms import act_poset, enumerate_signed_permutations
-from signedposets.posets import SignedPoset, is_closed
+from signedposets.posets import SignedPoset
 from signedposets.roots import Root
+from signedposets.verify import check_minimal_representation
 
 
 def walk_pairs(n):
@@ -81,8 +83,11 @@ def test_n3_catalog_is_lp_closed():
 
 
 def test_n4_total():
-    # every one of these sets was confirmed LP-closed once, in a separate run
-    assert len(enumerate_signed_posets(4, force=True)) == 60201
+    # each one proved closed, with its minimal representation, by certificates
+    posets = enumerate_signed_posets(4, force=True)
+    assert len(posets) == 60201
+    failed = [p for p in posets if not check_minimal_representation(p).passed]
+    assert failed == []
 
 
 def test_canonical_form_constant_on_orbits():

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signedposets
-from signedposets import cli
+from signedposets import cli, posetfile
 from signedposets.errors import InternalInconsistency, ParseError
 from signedposets.posetfile import PosetDocument, parse_poset
-from signedposets.roots import all_roots
+from signedposets.posets import SignedPoset
+from signedposets.roots import all_roots, parse_root
 from signedposets.verify import CheckResult
 
 
@@ -250,6 +251,14 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_duplicate_name_line_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.poset"
+    bad.write_text("name = a\nname = b\nn = 2\nroots: +1\n")
+    code, out, err = run(capsys, ["validate", str(bad)])
+    assert code == 2 and out == ""
+    assert "duplicate name line" in err
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", str(tmp_path / "nope.poset")])
     assert code == 2
@@ -283,6 +292,19 @@ def test_failed_verification_exits_1(capsys, fig1, monkeypatch):
     assert code == 1
     assert report_of(out)["verification"] == {"oracles_agree": False}
     assert "DISAGREE" in err
+
+
+def test_unclosed_poset_fails_validate_and_a_wrong_m_fails_minrep(capsys, fig1, monkeypatch):
+    # The certificates decide the fields: P without +2 is not closed, and
+    # {−1+2} does not regenerate fig1.
+    monkeypatch.setattr(cli, "minimal_representation", lambda p: {parse_root("-1+2")})
+    code, out, _ = run(capsys, ["minrep", fig1])
+    assert code == 1
+    assert report_of(out)["verification"] == {"regenerates": False}
+    monkeypatch.setattr(posetfile, "from_generators", lambda n, gens: SignedPoset(n, gens))
+    code, out, _ = run(capsys, ["validate", fig1])
+    assert code == 1
+    assert report_of(out)["verification"] == {"asymmetric": True, "closed": False}
 
 
 def test_internal_inconsistency_exits_3(capsys, fig1, monkeypatch):

@@ -2,11 +2,12 @@
 
 The fast paths are: `dot` in integers, the witness-first `row_is_necessary`,
 the half-open oracle's integer viewpoint, the fraction-free simplex, the
-depth-first lattice count, the triangulation check by owner table and the
-Ehrhart polynomial from integer h*.  Each is compared with the route it
-replaced on the whole n ≤ 3 catalog (the simplex on the LPs of a seeded
-n = 3 sweep and on fuzzed small LPs; the count, the triangulation and the
-Ehrhart polynomial also on seeded n = 4 posets).  The replaced kernels live
+depth-first lattice count, the triangulation check by owner table, the
+Ehrhart polynomial from integer h* and the minimal-representation check by
+integer certificates.  Each is compared with the route it replaced on the
+whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep and on
+fuzzed small LPs; the count, the triangulation, the Ehrhart polynomial and
+the minimal-representation check also on seeded n = 4 posets).  The replaced kernels live
 in `reference_kernels.py`.  The count solves no LP.
 """
 
@@ -23,6 +24,7 @@ from reference_kernels import (
     ehrhart_by_interpolation,
     half_open_contains_at,
     lp_oracle,
+    minimal_representation_by_lp,
     poly_eval,
     reciprocity_by_interpolation,
     reference_point,
@@ -52,6 +54,7 @@ from signedposets.posets import from_generators
 from signedposets.roots import all_roots
 from signedposets.verify import (
     check_chain_polytope,
+    check_minimal_representation,
     check_triangulation,
     subchain_trials,
     verify_poset,
@@ -150,6 +153,7 @@ def test_simplex_equals_the_fraction_tableau_on_a_seeded_sweep(monkeypatch):
     monkeypatch.setattr(linalg, "solve_standard", record)
     for p in random.Random("lp-oracle").sample(CATALOG[36:], 25):
         verify_poset(p)
+        minimal_representation_by_lp(p)
     monkeypatch.undo()
     statuses = set()
     for a, b, c in lps:
@@ -267,6 +271,11 @@ def _seeded_posets(n, count, seed):
         except AsymmetryViolation:
             continue
     return posets
+
+
+def test_minimal_representation_check_equals_the_lp_up_to_n3_and_at_n4():
+    for p in CATALOG + _seeded_posets(4, 200, "minrep-lp:4"):
+        assert check_minimal_representation(p) == minimal_representation_by_lp(p), p.tokens()
 
 
 def test_depth_first_count_equals_the_box_scan_at_n4():

@@ -62,6 +62,12 @@ def test_duplicate_n_line():
     assert (e.line, e.column) == (2, 1)
 
 
+def test_duplicate_name_line():
+    e = err("name = a\nn = 2\n  name = b\nroots: +1\n")
+    assert (e.line, e.column) == (3, 3)
+    assert "duplicate name line" in str(e)
+
+
 def test_bad_token_position_points_at_the_token():
     e = err("n = 2\nroots: +1 bogus\n")
     assert (e.line, e.column) == (2, 11)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_kernels import is_closed, lp_closure
+
 from signedposets.catalog import enumerate_signed_posets, iter_signed_posets
 from signedposets.errors import AsymmetryViolation, CycleDetected
 from signedposets.geometry import homogenized_poset
@@ -20,8 +22,6 @@ from signedposets.posets import (
     cone_contains,
     embed_classical_poset,
     from_generators,
-    is_closed,
-    lp_closure,
     minimal_representation,
     plc,
     root_kernel,
@@ -218,8 +218,30 @@ def test_kernel_plc_matches_lp_loop(n, count):
         if not kernel.clash(fixpoint):
             asymmetric += 1
             assert kernel.members(fixpoint) == lp
-        assert plc(gens, n) == lp
+            assert plc(gens, n) == lp
+        else:
+            # a ±α pair in the fixpoint is one in the cone too
+            assert any(-alpha in lp for alpha in lp)
+            with pytest.raises(AsymmetryViolation):
+                plc(gens, n)
     assert asymmetric >= count // 4
+
+
+def test_plc_is_the_lp_closure_or_raises_on_every_subset_of_b2():
+    roots = all_roots(2)
+    raised = 0
+    for k in range(1 << len(roots)):
+        gens = [alpha for i, alpha in enumerate(roots) if k >> i & 1]
+        lp = lp_closure(gens, 2)
+        symmetric = any(-alpha in lp for alpha in lp)
+        try:
+            assert plc(gens, 2) == lp
+        except AsymmetryViolation as exc:
+            raised += 1
+            assert symmetric and exc.root in lp and -exc.root in lp
+        else:
+            assert not symmetric
+    assert 0 < raised < 256
 
 
 def test_homogenized_poset_matches_lp_route():

@@ -11,7 +11,7 @@ from signedposets.geometry import order_polytope_irredundant
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
 from signedposets.jordan import DescentData, jordan_holder, naturalize, owner_table
 from signedposets.perms import SignedPermutation, enumerate_signed_permutations
-from signedposets.posets import from_generators
+from signedposets.posets import SignedPoset, from_generators, root_kernel
 from signedposets.roots import parse_root
 from signedposets.verify import (
     ALL_CHECKS,
@@ -188,6 +188,36 @@ def test_a_cube_row_holds_by_a_tighter_single_coordinate_row_or_by_the_lp():
 
 
 FIG1 = ["-1+2", "+1+2"]
+
+
+@pytest.mark.parametrize(
+    "roots, m, failing",
+    [
+        (FIG1, FIG1, "closed"),  # +2 = ½(−1+2) + ½(+1+2) is missing from P
+        (FIG1 + ["+2"], FIG1 + ["+2"], "irredundant"),
+        (FIG1 + ["+2"], ["-1+2"], "derives"),
+    ],
+)
+def test_minimal_representation_check_fails_on_each_kind_of_certificate(
+    monkeypatch, roots, m, failing
+):
+    assert verify.check_minimal_representation(mk(2, FIG1)).passed
+    p = SignedPoset(2, frozenset(parse_root(t) for t in roots))
+    m = frozenset(parse_root(t) for t in m)
+    monkeypatch.setattr(verify, "minimal_representation", lambda q: m)
+    check = verify.check_minimal_representation(p)
+    assert not check.passed and "exception" not in check.detail
+    assert not reference_kernels.minimal_representation_by_lp(p).passed
+    kernel = root_kernel(2)
+    certificates = {
+        "closed": verify.closed_by_filters(p),
+        "irredundant": all(
+            verify._separated(kernel.mask(m - {alpha}), 2) >> kernel.index[alpha] & 1
+            for alpha in m
+        ),
+        "derives": verify.derives(m, p),
+    }
+    assert [name for name, ok in certificates.items() if not ok] == [failing]
 
 
 def _failed_with_counterexample(check):

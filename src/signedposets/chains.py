@@ -20,7 +20,7 @@ from typing import Optional
 
 from .ehrhart import count_points, ehrhart_polynomial, poly_to_json
 from .geometry import cube_vertices, order_polytope, signed_filters, vertices
-from .halfspaces import Halfspace, HalfspaceSystem, dedupe_rows
+from .halfspaces import Halfspace, HalfspaceSystem, dedupe_rows, grid_points, select
 from .posets import SignedPoset
 from .roots import Root, from_vector, inner_product
 
@@ -142,12 +142,8 @@ def verify_antichain_characterization(p: SignedPoset) -> dict:
     """Compare antichains with the lattice points of C_P; mismatches are data."""
     anti = set(antichains(p))
     system = chain_polytope(p)
-    points = {
-        x
-        for x in product((-1, 0, 1), repeat=p.n)
-        if system.contains(x)
-    }
-    # C_P ⊆ [−1,1]^n, so scanning {−1,0,1}^n sees every lattice point.
+    # C_P ⊆ [−1,1]^n, so the grid mask on {−1,0,1}^n sees every lattice point.
+    points = set(select(grid_points(p.n, 1), system.grid_mask(1)))
     return {
         "match": anti == points,
         "antichain_count": len(anti),

@@ -85,7 +85,7 @@ def cmd_validate(args, doc, p):
         "size": len(p.roots),
         "generators_already_closed": frozenset(doc.generators) == p.roots,
     }
-    return (results, {"asymmetric": True, "closed": closed_by_filters(p)},
+    return (results, {"closed": closed_by_filters(p)},
             f"valid signed poset on [{p.n}] with {len(p.roots)} roots")
 
 

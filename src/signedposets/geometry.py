@@ -4,20 +4,28 @@ O_P = {x ∈ [−1,1]^n : ⟨α, x⟩ ≥ 0 for all α ∈ P}; K_P drops the cub
 irredundant description keeps only the minimal-representation rows plus the
 cube bounds actually needed (pmax/nmax).  Lattice-point structure: the signed
 filters {−1,0,1}^n are exactly the lattice points, and the vertices are the
-filters whose active rows have full rank.
+filters whose active rows have full rank.  The filters, the vertices'
+candidates and the redundancy witnesses are read off grid masks
+(`halfspaces.grid_mask`), not tested point by point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Iterable
 
 from .errors import InternalInconsistency
-from .halfspaces import Halfspace, HalfspaceSystem, cube_rows
-from .linalg import dot, minimize, rank
+from .halfspaces import (
+    Halfspace,
+    HalfspaceSystem,
+    cube_rows,
+    grid_points,
+    row_mask,
+    select,
+)
+from .linalg import minimize, rank
 from .posets import SignedPoset, from_generators, minimal_representation
-from .roots import Root, inner_product
+from .roots import Root
 
 
 def _root_rows(roots: Iterable[Root], n: int) -> list[Halfspace]:
@@ -65,23 +73,24 @@ def order_polytope_irredundant(p: SignedPoset) -> HalfspaceSystem:
     return HalfspaceSystem(p.n, tuple(rows))
 
 
-_WITNESS_RANGE = range(-2, 3)
+# Integer witnesses of a necessary row are looked for in [−2, 2]^n.
+_WITNESS_R = 2
 
 
 def row_is_necessary(system: HalfspaceSystem, index: int) -> bool:
     """Exact redundancy probe: can ⟨a, x⟩ go below b while all other rows hold?
 
     First looks for an integer witness in [−2, 2]^n: a point that satisfies
-    every other row and violates this one proves the row necessary.  Without
-    one, the LP decides: it minimizes the row's form subject to the remaining
-    rows, and the row is necessary iff the minimum is below b (or unbounded
-    below).
+    every other row and violates this one proves the row necessary.  The
+    witnesses are the other rows' grid mask less this row's, so one AND
+    decides.  Without one, the LP decides: it minimizes the row's form
+    subject to the remaining rows, and the row is necessary iff the minimum
+    is below b (or unbounded below).
     """
     row = system.rows[index]
-    others = [(r.a, r.b) for i, r in enumerate(system.rows) if i != index]
-    for x in product(_WITNESS_RANGE, repeat=system.n):
-        if dot(row.a, x) < row.b and all(dot(a, x) >= b for a, b in others):
-            return True
+    others = HalfspaceSystem(system.n, system.rows[:index] + system.rows[index + 1 :])
+    if others.grid_mask(_WITNESS_R) & ~row_mask(system.n, _WITNESS_R, row.a, row.b):
+        return True
     return _lp_row_is_necessary(system, index)
 
 
@@ -99,13 +108,10 @@ def _lp_row_is_necessary(system: HalfspaceSystem, index: int) -> bool:
 def signed_filters(p: SignedPoset) -> list[tuple[int, ...]]:
     """All x ∈ {−1,0,1}^n with ⟨α, x⟩ ≥ 0 for every α ∈ P, sorted.
 
-    These are exactly the lattice points of O_P.
+    These are exactly the lattice points of O_P: the points of K_P's grid
+    mask on {−1,0,1}^n, whose `product` order is sorted.
     """
-    out = []
-    for x in product((-1, 0, 1), repeat=p.n):
-        if all(inner_product(alpha, x) >= 0 for alpha in p.roots):
-            out.append(x)
-    return sorted(out)
+    return select(grid_points(p.n, 1), order_cone(p).grid_mask(1))
 
 
 def cube_vertices(system: HalfspaceSystem) -> list[tuple[int, ...]]:
@@ -115,9 +121,7 @@ def cube_vertices(system: HalfspaceSystem) -> list[tuple[int, ...]]:
     lattice points, as O_P's and C_P's are.
     """
     out = []
-    for x in product((-1, 0, 1), repeat=system.n):
-        if not system.contains(x):
-            continue
+    for x in select(grid_points(system.n, 1), system.grid_mask(1)):
         active = [row.a for row in system.rows if row.evaluate(x) == row.b]
         if len(active) >= system.n and rank(active) == system.n:
             out.append(x)

@@ -3,7 +3,9 @@
 JH(P) is the set of signed permutations whose one-line word, read as an
 integer vector, weakly satisfies every poset inequality.  It is never empty,
 indexes the unimodular simplices Δ_σ triangulating O_P, and its natural
-descent statistic generates h*.
+descent statistic generates h*.  `jordan_holder` decides it by bitmask: each
+root has a cached mask over the group's words, in ascending lex order, of
+the words it holds on, and JH(P) is the AND of its roots' masks.
 
 The half-open cells are taken with respect to one viewpoint, the reference
 point p = (1, 2, …, n)/(n+1): a facet is removed exactly where NatDes says
@@ -15,9 +17,10 @@ membership is a sign test on facet forms; Köppe–Verdoolaege, EJC 15, 2008).
 Which half-open cell holds a lattice point x depends on n and x alone: it is
 the window `owner(x)`, read off by sorting the coordinates by (|x_j|, ±j).
 `owner_table(n, t)` records the owner of every point of the cube dilate
-[−t, t]^n, built on first use and kept per (n, t), and proves before it
-returns that the half-open cells of all 2^n·n! windows partition that cube,
-with the generic oracle in agreement up to t = 2.
+[−t, t]^n, and the mask of the points each window owns (bit k for the k-th
+point in `product` order), built on first use and kept per (n, t), and
+proves before it returns that the half-open cells of all 2^n·n! windows
+partition that cube, with the generic oracle in agreement up to t = 2.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ from itertools import combinations_with_replacement, product
 from typing import Iterator, Sequence
 
 from .errors import InternalInconsistency
+from .halfspaces import select
 from .linalg import det
 from .perms import SignedPermutation, act_poset, enumerate_signed_permutations
 from .posets import SignedPoset
-from .roots import inner_product
+from .roots import Root, inner_product
 
 
 @dataclass(frozen=True)
@@ -58,18 +62,30 @@ def natdes(sigma: SignedPermutation) -> DescentData:
     )
 
 
+# Keyed on (n, α): 2n² roots at each n, and a sweep works at one n.
+@lru_cache(maxsize=128)
+def _word_mask(n: int, alpha: Root) -> int:
+    """Bit k set iff ⟨α, (ω(1),…,ω(n))⟩ ≥ 0 for the k-th word ω of the group."""
+    return int(
+        "".join(
+            ["1" if inner_product(alpha, omega.images) >= 0 else "0"
+             for omega in reversed(enumerate_signed_permutations(n))]
+        ),
+        2,
+    )
+
+
 def jordan_holder(p: SignedPoset) -> list[SignedPermutation]:
     """All ω with ⟨α, (ω(1),…,ω(n))⟩ ≥ 0 for every α ∈ P, ascending lex.
 
     Nonempty for every signed poset; an empty result would contradict
     full-dimensionality of the order cone and raises InternalInconsistency.
     """
-    roots = p.sorted_roots()
-    out = [
-        omega
-        for omega in enumerate_signed_permutations(p.n)
-        if all(inner_product(alpha, omega.as_point()) >= 0 for alpha in roots)
-    ]
+    group = enumerate_signed_permutations(p.n)
+    mask = (1 << len(group)) - 1
+    for alpha in p.roots:
+        mask &= _word_mask(p.n, alpha)
+    out = select(group, mask)
     if not out:
         raise InternalInconsistency(f"empty Jordan–Hölder set for {p!r}")
     return out
@@ -208,7 +224,9 @@ def owner(x: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OwnerTable:
-    """owner(x) for every x of the cube dilate [−t, t]^n, in `product` order.
+    """owner(x) for every x of the cube dilate [−t, t]^n, in `product` order,
+    and `cell_masks`: for each window that owns a point, the mask of its
+    points in that order.
 
     `counterexample` is None once the half-open cells of all 2^n·n! windows
     are proved to partition the cube dilate; otherwise it is a pair
@@ -218,6 +236,7 @@ class OwnerTable:
     n: int
     t: int
     owners: tuple[tuple[int, ...], ...]
+    cell_masks: dict[tuple[int, ...], int]
     counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None
 
     def points(self) -> Iterator[tuple[int, ...]]:
@@ -244,13 +263,15 @@ def owner_table(n: int, t: int) -> OwnerTable:
     point has exactly one half-open cell, the one `owner` names.  A failure
     is returned, not raised, so that the cache keeps it.
     """
-    table = OwnerTable(n, t, (), None)
+    table = OwnerTable(n, t, (), {}, None)
     cells = {sigma.images: cell(sigma) for sigma in enumerate_signed_permutations(n)}
     owner_of = {}
-    for x in table.points():
+    owned = {}  # window -> the indices of its points
+    for k, x in enumerate(table.points()):
         w = owner_of[x] = owner(x)
         if not half_open_contains(cells[w], x, t):
             return replace(table, counterexample=(x, w))
+        owned.setdefault(w, []).append(k)
     chains = list(combinations_with_replacement(range(t + 1), n))
     for w, cell_ in cells.items():
         # Coordinate j takes the chain value at position |σ⁻¹(j)|, signed.
@@ -262,7 +283,8 @@ def owner_table(n: int, t: int) -> OwnerTable:
                 t <= GENERIC_T_MAX and inside != half_open_contains_generic(cell_.sigma, x, t)
             ):
                 return replace(table, counterexample=(x, w))
-    return replace(table, owners=tuple(owner_of.values()))
+    masks = {w: sum(1 << k for k in ks) for w, ks in owned.items()}
+    return replace(table, owners=tuple(owner_of.values()), cell_masks=masks)
 
 
 def hstar_by_descents(p: SignedPoset) -> tuple[int, ...]:

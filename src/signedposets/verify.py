@@ -8,10 +8,11 @@ description's rows certified necessary by integer witnesses or the LP, its
 containment in the cube proved by the LP, and its lattice counts against
 O_P's; the half-open triangulation against plain point membership
 (`jordan.owner_table` proves the cells' partition of each cube dilate once
-per (n, t), so a poset's JH cells need one owner lookup per cube point);
-Fischer gradedness against counting Gorenstein indices; the chain polytope's
-Ehrhart polynomial, evaluated from the h* of its counts at t = 0..n, against
-its counts at t = n+1 and n+2.  A failed check is report content; the
+per (n, t) and keeps each cell's mask of cube points, so a poset's JH cells
+need one OR of masks, compared with tO_P's grid mask); Fischer gradedness
+against counting Gorenstein indices; the chain polytope's Ehrhart
+polynomial, evaluated from the h* of its counts at t = 0..n, against its
+counts at t = n+1 and n+2.  A failed check is report content; the
 library itself only raises when its own postconditions break.
 
 `verify_poset` runs the battery on one poset; `verify_catalog` sweeps every
@@ -25,7 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Optional
 
 from .catalog import iter_signed_posets
@@ -98,9 +99,10 @@ class PosetReport:
     Sweeps, and callers that keep every report, hold many of these.  So the
     names, verdicts and detail keys of the checks are one `layout` tuple,
     shared by every report with the same layout, and the detail values are
-    one flat tuple; `checks` rebuilds the `CheckResult`s.  A process that
-    keeps n = 3 reports grows by about 1.9 KB a report this way, against
-    4.8 KB for a tuple of `CheckResult`s with their dicts.
+    one flat tuple, in which each list of ints or strs is a tuple shared by
+    the reports with an equal list; `checks` rebuilds the `CheckResult`s and
+    those lists.  Dropping all 941 kept n = 3 reports frees about 0.4 KB a
+    report; with a list of its own in each report, it was 1.0 KB.
     """
 
     n: int
@@ -114,7 +116,7 @@ class PosetReport:
     ) -> "PosetReport":
         checks = tuple(checks)
         layout = _shared(tuple((c.name, c.passed, tuple(c.detail)) for c in checks))
-        values = tuple(v for c in checks for v in c.detail.values())
+        values = tuple(_frozen(v) for c in checks for v in c.detail.values())
         return cls(n, tokens, layout, values)
 
     @property
@@ -123,7 +125,8 @@ class PosetReport:
         start = 0
         for name, passed, keys in self.layout:
             stop = start + len(keys)
-            out.append(CheckResult(name, passed, dict(zip(keys, self.values[start:stop]))))
+            values = map(_thawed, self.values[start:stop])
+            out.append(CheckResult(name, passed, dict(zip(keys, values))))
             start = stop
         return tuple(out)
 
@@ -150,6 +153,28 @@ class PosetReport:
 def _shared(layout: tuple) -> tuple:
     """The first stored copy of an equal layout, so reports share one."""
     return layout
+
+
+@lru_cache(maxsize=1024)
+def _shared_value(value: tuple) -> tuple:
+    """The first stored copy of an equal detail tuple, so reports share one."""
+    return value
+
+
+def _frozen(value):
+    """A list of ints, or of strs, as a shared tuple; any other value as it is.
+
+    Equal tuples of one such type are interchangeable, which is not so for
+    ints and bools or Fractions, so no other list is shared.  No detail
+    value is a tuple, so `_thawed` knows which values to turn back.
+    """
+    if type(value) is list and {type(v) for v in value} in ({int}, {str}, set()):
+        return _shared_value(tuple(value))
+    return value
+
+
+def _thawed(value):
+    return list(value) if type(value) is tuple else value
 
 
 def pad_equal(a, b) -> bool:
@@ -329,12 +354,15 @@ def check_triangulation(p: SignedPoset) -> CheckResult:
     half-open versions hold exactly the lattice points of each dilate.
 
     `owner_table` proves once per (n, t) that the half-open cells of all
-    windows partition the cube dilate [−t, t]^n.  Per poset it is then enough
-    that x ∈ tO_P ⟺ owner(x) ∈ {σ⁻¹ : σ ∈ JH} for every x of that cube: each
-    lattice point of tO_P has exactly one JH cell, and no JH cell reaches
-    outside O_P.  A half-open cell with k strict facets holds a lattice point
-    from t = k on, and a cell has at most n, so the check looks at
-    t = 1..max(T_MAX, n): every cell is seen, the one cell of window
+    windows partition the cube dilate [−t, t]^n, and keeps the mask of the
+    cube points that each cell holds.  Per poset it is then enough that
+    x ∈ tO_P ⟺ owner(x) ∈ {σ⁻¹ : σ ∈ JH} for every x of that cube, that is,
+    that tO_P's grid mask equals the OR of the JH cells' masks: each lattice
+    point of tO_P has exactly one JH cell, and no JH cell reaches outside
+    O_P.  The lowest differing bit names the counterexample, the first point
+    in `product` order.  A half-open cell with k strict facets holds a
+    lattice point from t = k on, and a cell has at most n, so the check looks
+    at t = 1..max(T_MAX, n): every cell is seen, the one cell of window
     (−1, …, −n) with n strict facets included.
     """
     _, image = naturalize(p)
@@ -351,12 +379,18 @@ def check_triangulation(p: SignedPoset) -> CheckResult:
             x, window = table.counterexample
             bad = {"t": t, "x": list(x), "window": list(window)}
             break
-        for x, w in zip(table.points(), table.owners):
-            inside = system.contains(x, t)
-            if inside != (w in owned):
-                bad = {"t": t, "x": list(x), "owner": list(w), "in_polytope": inside}
-                break
-        if bad:
+        inside = system.grid_mask(t, t)
+        cells = 0
+        for w in owned:
+            cells |= table.cell_masks.get(w, 0)
+        if differ := inside ^ cells:
+            k = (differ & -differ).bit_length() - 1
+            bad = {
+                "t": t,
+                "x": list(next(islice(table.points(), k, None))),
+                "owner": list(table.owners[k]),
+                "in_polytope": bool(inside >> k & 1),
+            }
             break
 
     detail = {"cells": len(jh), "unimodular": unimodular}
@@ -405,14 +439,14 @@ def check_hstar_unimodal_when_gorenstein(p: SignedPoset) -> CheckResult:
 
 
 def check_fischer_halfspaces(p: SignedPoset) -> CheckResult:
-    """The relation rows of Ĝ(M), and of Ĝ(P), carve out the same polytope as O_P."""
+    """The relation rows of Ĝ(M), and of Ĝ(P), carve out the same polytope as
+    O_P: the same lattice points of {−1, 0, 1}^n, by grid mask, and the same
+    count at t = 2."""
     system = order_polytope(p)
+    points = system.grid_mask(1)
     fh = fischer_halfspaces(minimal_fischer_representation(p))
     passed = all(
-        all(
-            fischer.contains(x) == system.contains(x)
-            for x in product((-1, 0, 1), repeat=p.n)
-        )
+        fischer.grid_mask(1) == points
         and count_points(fischer, 2) == count_points(system, 2)
         for fischer in (fh, fischer_halfspaces(fischer_representation(p)))
     )
@@ -453,14 +487,15 @@ def check_chain_polytope(p: SignedPoset) -> CheckResult:
 
 
 def check_homogenization(p: SignedPoset) -> CheckResult:
+    """P ⊆ P̂, and K_P̂ at height 1 has the lattice points of O_P: a row
+    ⟨a, (x, 1)⟩ ≥ b of K_P̂ holds at x exactly where ⟨a[:n], x⟩ ≥ b − a[n],
+    so those rows' grid mask over {−1, 0, 1}^n is O_P's."""
     lifted = homogenized_poset(p)
-    kc = order_cone(lifted)
-    system = order_polytope(p)
-    grid_ok = all(
-        system.contains(x)
-        == all(row.evaluate((*x, 1)) >= row.b for row in kc.rows)
-        for x in product((-1, 0, 1), repeat=p.n)
+    at_height_1 = HalfspaceSystem(
+        p.n,
+        tuple(Halfspace(row.a[: p.n], row.b - row.a[p.n]) for row in order_cone(lifted).rows),
     )
+    grid_ok = at_height_1.grid_mask(1) == order_polytope(p).grid_mask(1)
     return CheckResult(
         "homogenization",
         p.roots <= lifted.roots and grid_ok,

@@ -17,6 +17,11 @@ the `Fraction` Lagrange interpolation of the counts at t = 0..n, evaluated by
 `is_closed` asks it whether a root set is closed;
 `minimal_representation_by_lp` is the minimal-representation check before
 its integer certificates: the same three claims, each decided by the LP.
+The per-point loops that grid masks replaced: `triangulation_by_owner_scan`
+is the triangulation check comparing `contains` with ownership at each cube
+point, `jordan_holder_by_scan` tests each signed permutation against each
+root, `row_is_necessary_by_scan` looks for a witness point by point before
+the LP, and `grid_mask_by_contains` asks `contains` at each grid point.
 """
 
 from fractions import Fraction
@@ -25,7 +30,8 @@ from typing import Optional
 
 from signedposets import verify
 from signedposets.ehrhart import count_points, integer_box
-from signedposets.geometry import order_polytope
+from signedposets.geometry import _lp_row_is_necessary, order_polytope
+from signedposets.halfspaces import grid_points
 from signedposets.jordan import (
     cell,
     cell_determinant,
@@ -33,10 +39,12 @@ from signedposets.jordan import (
     half_open_contains_generic,
     jordan_holder,
     naturalize,
+    owner_table,
 )
-from signedposets.perms import SignedPermutation
+from signedposets.linalg import dot
+from signedposets.perms import SignedPermutation, enumerate_signed_permutations
 from signedposets.posets import cone_contains
-from signedposets.roots import all_roots
+from signedposets.roots import all_roots, inner_product
 from signedposets.verify import T_MAX, CheckResult
 
 _ZERO = Fraction(0)
@@ -301,4 +309,65 @@ def minimal_representation_by_lp(p) -> CheckResult:
         "minimal-representation",
         closed and regenerated and irredundant,
         {"poset_size": len(p.roots), "minrep_size": len(m)},
+    )
+
+
+def triangulation_by_owner_scan(p) -> CheckResult:
+    """`check_triangulation` point by point: `contains` against ownership at
+    every cube point.  JH is `verify.jordan_holder`, looked up when called,
+    so a test that patches it patches both checks."""
+    _, image = naturalize(p)
+    system = order_polytope(image)
+    jh = verify.jordan_holder(image)
+    windows = [sigma.inverse() for sigma in jh]
+    unimodular = all(cell_determinant(tau) in (1, -1) for tau in windows)
+    owned = {tau.images for tau in windows}
+
+    bad: Optional[dict] = None
+    for t in range(1, max(T_MAX, p.n) + 1):
+        table = owner_table(p.n, t)
+        if table.counterexample is not None:
+            x, window = table.counterexample
+            bad = {"t": t, "x": list(x), "window": list(window)}
+            break
+        for x, w in zip(table.points(), table.owners):
+            inside = system.contains(x, t)
+            if inside != (w in owned):
+                bad = {"t": t, "x": list(x), "owner": list(w), "in_polytope": inside}
+                break
+        if bad:
+            break
+
+    detail = {"cells": len(jh), "unimodular": unimodular}
+    if bad:
+        detail["counterexample"] = bad
+    return CheckResult("triangulation", unimodular and not bad, detail)
+
+
+def jordan_holder_by_scan(p) -> list:
+    """JH(P): each signed permutation tested against each root, ascending lex."""
+    roots = p.sorted_roots()
+    return [
+        omega
+        for omega in enumerate_signed_permutations(p.n)
+        if all(inner_product(alpha, omega.as_point()) >= 0 for alpha in roots)
+    ]
+
+
+def row_is_necessary_by_scan(system, index: int) -> bool:
+    """A witness in [−2, 2]^n looked for point by point, then the LP."""
+    row = system.rows[index]
+    others = [(r.a, r.b) for i, r in enumerate(system.rows) if i != index]
+    for x in product(range(-2, 3), repeat=system.n):
+        if dot(row.a, x) < row.b and all(dot(a, x) >= b for a, b in others):
+            return True
+    return _lp_row_is_necessary(system, index)
+
+
+def grid_mask_by_contains(system, r: int, t: int = 1, strict: bool = False) -> int:
+    """`HalfspaceSystem.grid_mask` by `contains` at each point of [−r, r]^n."""
+    return sum(
+        1 << k
+        for k, x in enumerate(grid_points(system.n, r))
+        if system.contains(x, t, strict)
     )

@@ -304,7 +304,7 @@ def test_unclosed_poset_fails_validate_and_a_wrong_m_fails_minrep(capsys, fig1, 
     monkeypatch.setattr(posetfile, "from_generators", lambda n, gens: SignedPoset(n, gens))
     code, out, _ = run(capsys, ["validate", fig1])
     assert code == 1
-    assert report_of(out)["verification"] == {"asymmetric": True, "closed": False}
+    assert report_of(out)["verification"] == {"closed": False}
 
 
 def test_internal_inconsistency_exits_3(capsys, fig1, monkeypatch):

@@ -2,10 +2,12 @@ import doctest
 
 import pytest
 
-from signedposets import ehrhart, jordan, linalg, perms, posets, roots
+from signedposets import ehrhart, halfspaces, jordan, linalg, perms, posets, roots
 
 
-@pytest.mark.parametrize("module", [roots, posets, perms, linalg, jordan, ehrhart])
+@pytest.mark.parametrize(
+    "module", [roots, posets, perms, linalg, jordan, ehrhart, halfspaces]
+)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

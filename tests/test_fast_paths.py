@@ -3,12 +3,15 @@
 The fast paths are: `dot` in integers, the witness-first `row_is_necessary`,
 the half-open oracle's integer viewpoint, the fraction-free simplex, the
 depth-first lattice count, the triangulation check by owner table, the
-Ehrhart polynomial from integer h* and the minimal-representation check by
-integer certificates.  Each is compared with the route it replaced on the
-whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep and on
-fuzzed small LPs; the count, the triangulation, the Ehrhart polynomial and
-the minimal-representation check also on seeded n = 4 posets).  The replaced kernels live
-in `reference_kernels.py`.  The count solves no LP.
+Ehrhart polynomial from integer h*, the minimal-representation check by
+integer certificates, and lattice membership by grid mask (`grid_mask`,
+the triangulation by cell masks, `jordan_holder` by word masks and the
+redundancy witnesses by mask).  Each is compared with the route it replaced
+on the whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep
+and on fuzzed small LPs; the count, the triangulation, the Ehrhart
+polynomial, the minimal-representation check and `jordan_holder` also on
+seeded n = 4 posets).  The replaced kernels live in `reference_kernels.py`.
+The count solves no LP.
 """
 
 import random
@@ -19,20 +22,25 @@ from itertools import islice, product
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference_kernels
 from reference_kernels import (
     count_by_box_scan,
     ehrhart_by_interpolation,
+    grid_mask_by_contains,
     half_open_contains_at,
+    jordan_holder_by_scan,
     lp_oracle,
     minimal_representation_by_lp,
     poly_eval,
     reciprocity_by_interpolation,
     reference_point,
+    row_is_necessary_by_scan,
     triangulation_by_cell_scan,
+    triangulation_by_owner_scan,
 )
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.chains import chain_polytope
-from signedposets import ehrhart, linalg, verify
+from signedposets import ehrhart, geometry, linalg, verify
 from signedposets.ehrhart import (
     count_points,
     ehrhart_polynomial,
@@ -46,8 +54,13 @@ from signedposets.geometry import (
     order_polytope_irredundant,
     row_is_necessary,
 )
+from signedposets.gorenstein import (
+    fischer_halfspaces,
+    fischer_representation,
+    minimal_fischer_representation,
+)
 from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows, rows_from_key
-from signedposets.jordan import half_open_contains_generic
+from signedposets.jordan import half_open_contains_generic, jordan_holder
 from signedposets.linalg import dot, solve_standard
 from signedposets.perms import enumerate_signed_permutations
 from signedposets.posets import from_generators
@@ -79,6 +92,26 @@ def test_witness_first_redundancy_equals_the_lp_on_irredundant_systems():
             assert row_is_necessary(irr, index) == _lp_row_is_necessary(irr, index)
             rows += 1
     assert rows > 4944  # the n = 3 systems alone have 4,944 rows
+
+
+def test_witness_by_mask_equals_the_point_scan(monkeypatch):
+    # With the LP answering "redundant", each verdict says whether an integer
+    # witness was found.
+    for module in (geometry, reference_kernels):
+        monkeypatch.setattr(module, "_lp_row_is_necessary", lambda system, index: False)
+    probes = [
+        (irr, index)
+        for irr in map(order_polytope_irredundant, CATALOG)
+        for index in range(len(irr.rows))
+    ]
+    probes += [
+        (trial, len(trial.rows) - 1)
+        for _, _, trial in islice(subchain_trials(3), 0, None, 25)
+    ]
+    found = {row_is_necessary(*probe) for probe in probes}
+    assert found == {False, True}
+    for probe in probes:
+        assert row_is_necessary(*probe) == row_is_necessary_by_scan(*probe)
 
 
 def test_witness_first_redundancy_equals_the_lp_where_rows_are_redundant():
@@ -282,6 +315,48 @@ def test_depth_first_count_equals_the_box_scan_at_n4():
     for p in _seeded_posets(4, 30, "count-oracle:4"):
         for system in (order_polytope(p), _boxed_irredundant(p), chain_polytope(p)):
             _count_agrees(system, 3)
+
+
+def _grid_systems(p):
+    return (
+        order_polytope(p),
+        order_polytope_irredundant(p),
+        chain_polytope(p),
+        fischer_halfspaces(minimal_fischer_representation(p)),
+        fischer_halfspaces(fischer_representation(p)),
+    )
+
+
+def test_grid_mask_equals_contains_up_to_n3():
+    # Each distinct row of every system alone at r = 1..3, at t = 1 and at
+    # t = r, weak and strict; then each distinct system at r = 1.
+    systems = {}
+    for p in CATALOG:
+        for system in _grid_systems(p):
+            systems.setdefault(system.key, system)
+    rows = {
+        (system.n, row.a, row.b): HalfspaceSystem(system.n, (row,))
+        for system in systems.values()
+        for row in system.rows
+    }
+    assert len(systems) > 3000 and len(rows) > 70
+    for one in rows.values():
+        for r in (1, 2, 3):
+            for t, strict in product({1, r}, (False, True)):
+                assert one.grid_mask(r, t, strict) == grid_mask_by_contains(one, r, t, strict)
+    for system in systems.values():
+        for strict in (False, True):
+            assert system.grid_mask(1, 1, strict) == grid_mask_by_contains(system, 1, 1, strict)
+
+
+def test_triangulation_by_mask_equals_the_owner_scan_up_to_n3_and_at_n4():
+    for p in CATALOG + _seeded_posets(4, 30, "count-oracle:4"):
+        assert check_triangulation(p) == triangulation_by_owner_scan(p), p.tokens()
+
+
+def test_jordan_holder_by_mask_equals_the_scan_up_to_n3_and_at_n4():
+    for p in CATALOG + _seeded_posets(4, 200, "jh-scan:4"):
+        assert jordan_holder(p) == jordan_holder_by_scan(p), p.tokens()
 
 
 def test_triangulation_by_owner_equals_the_cell_scan_up_to_n3():

@@ -5,7 +5,7 @@ import re
 import pytest
 
 import reference_kernels
-from signedposets import jordan, verify
+from signedposets import halfspaces, jordan, verify
 from signedposets.ehrhart import count_points
 from signedposets.geometry import order_polytope_irredundant
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
@@ -153,7 +153,11 @@ def test_reports_share_one_layout_and_rebuild_their_checks():
     p, q = mk(2, ["+1"]), mk(2, ["+2"])
     first, second = verify_poset(p), verify_poset(q)
     assert first.layout is second.layout
-    assert first.tokens[0] is verify_poset(p).tokens[0]
+    again = verify_poset(p)
+    assert first.tokens[0] is again.tokens[0]
+    # List details are stored as shared tuples, and `checks` makes them lists.
+    frozen = [k for k, v in enumerate(first.values) if type(v) is tuple]
+    assert frozen and all(again.values[k] is first.values[k] for k in frozen)
     assert first.checks == tuple(check(p) for _, check in ALL_CHECKS)
     assert first.failures() == [] and first.passed
 
@@ -262,6 +266,38 @@ def test_triangulation_check_sees_the_all_negative_window_at_n4(monkeypatch):
     bad = _failed_with_counterexample(verify.check_triangulation(p))
     corner = [-1, -2, -3, -4]
     assert bad == {"t": 4, "x": corner, "owner": corner, "in_polytope": False}
+
+
+def test_triangulation_by_mask_names_the_owner_scans_counterexample(monkeypatch):
+    # The three JH mutations above: the mask check and the point-by-point
+    # reference fail with the same counterexample.
+    fig1 = mk(2, FIG1)
+    jh = jordan_holder(naturalize(fig1)[1])
+    stranger = next(s for s in enumerate_signed_permutations(2) if s not in jh)
+    corner = SignedPermutation((-1, -2, -3, -4))
+    for p, mutated in [
+        (fig1, lambda q: jordan_holder(q)[1:]),
+        (fig1, lambda q: jordan_holder(q) + [stranger]),
+        (mk(4, ["+1"]), lambda q: jordan_holder(q) + [corner]),
+    ]:
+        monkeypatch.setattr(verify, "jordan_holder", mutated)
+        check = verify.check_triangulation(p)
+        _failed_with_counterexample(check)
+        assert check == reference_kernels.triangulation_by_owner_scan(p)
+
+
+def test_triangulation_check_fails_when_a_row_mask_drops_a_bit(monkeypatch):
+    # Each row loses its lowest point; fig1's row +1+2 loses (−1, 1), a
+    # point of O_P, so a JH cell holds a point that the polytope's mask lacks.
+    row_mask = halfspaces.row_mask
+
+    def dropped(n, r, a, c):
+        mask = row_mask(n, r, a, c)
+        return mask & (mask - 1)
+
+    monkeypatch.setattr(halfspaces, "row_mask", dropped)
+    bad = _failed_with_counterexample(verify.check_triangulation(mk(2, FIG1)))
+    assert bad["in_polytope"] is False
 
 
 @pytest.fixture

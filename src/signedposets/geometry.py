@@ -77,21 +77,24 @@ def order_polytope_irredundant(p: SignedPoset) -> HalfspaceSystem:
 _WITNESS_R = 2
 
 
+def necessity_witness(system: HalfspaceSystem, index: int) -> tuple[int, ...] | None:
+    """The first point of [−2, 2]^n that satisfies every other row and violates
+    this one, which proves the row necessary, or None: one AND of the other
+    rows' grid mask with the complement of this row's."""
+    row = system.rows[index]
+    others = HalfspaceSystem(system.n, system.rows[:index] + system.rows[index + 1 :])
+    found = others.grid_mask(_WITNESS_R) & ~row_mask(system.n, _WITNESS_R, row.a, row.b)
+    return grid_points(system.n, _WITNESS_R)[(found & -found).bit_length() - 1] if found else None
+
+
 def row_is_necessary(system: HalfspaceSystem, index: int) -> bool:
     """Exact redundancy probe: can ⟨a, x⟩ go below b while all other rows hold?
 
-    First looks for an integer witness in [−2, 2]^n: a point that satisfies
-    every other row and violates this one proves the row necessary.  The
-    witnesses are the other rows' grid mask less this row's, so one AND
-    decides.  Without one, the LP decides: it minimizes the row's form
-    subject to the remaining rows, and the row is necessary iff the minimum
-    is below b (or unbounded below).
+    Yes if there is a `necessity_witness`.  Else the LP minimizes the row's
+    form over the other rows, and the row is necessary iff the minimum is
+    below b or unbounded; some necessary rows have only rational witnesses.
     """
-    row = system.rows[index]
-    others = HalfspaceSystem(system.n, system.rows[:index] + system.rows[index + 1 :])
-    if others.grid_mask(_WITNESS_R) & ~row_mask(system.n, _WITNESS_R, row.a, row.b):
-        return True
-    return _lp_row_is_necessary(system, index)
+    return necessity_witness(system, index) is not None or _lp_row_is_necessary(system, index)
 
 
 def _lp_row_is_necessary(system: HalfspaceSystem, index: int) -> bool:

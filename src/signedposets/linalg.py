@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 Rat = int | Fraction
@@ -33,7 +34,7 @@ def dot(a: Sequence[Rat], x: Sequence[Rat]) -> Rat:
     """
     if len(a) != len(x):
         raise ValueError("dimension mismatch")
-    return sum(ai * xi for ai, xi in zip(a, x))
+    return sum(map(mul, a, x))
 
 
 def _eliminate(row: list[int], pivot_row: list[int], c: int, p: int, d: int) -> list[int]:

@@ -1,11 +1,11 @@
 """Cross-oracle verification suites.
 
 Every structural claim the library makes is re-checked here by an
-independent route: P's closure and minimal representation M by integer
-certificates (signed filters, and a derivation of P from M), with no LP;
-descent-counted h* against lattice-point-counted h*; the irredundant
-description's rows certified necessary by integer witnesses or the LP, its
-containment in the cube proved by the LP, and its lattice counts against
+independent route, and no check solves an LP: P's closure and minimal
+representation M by integer certificates (signed filters, and a derivation
+of P from M); descent-counted h* against lattice-point-counted h*; the
+irredundant description's rows proved necessary by integer witness points,
+its cube bounds derived from its rows, and its lattice counts against
 O_P's; the half-open triangulation against plain point membership
 (`jordan.owner_table` proves the cells' partition of each cube dilate once
 per (n, t) and keeps each cell's mask of cube points, so a poset's JH cells
@@ -47,13 +47,12 @@ from .ehrhart import (
     reciprocity_check,
 )
 from .geometry import (
-    _lp_row_is_necessary,
     homogenized_poset,
     interior_point,
+    necessity_witness,
     order_cone,
     order_polytope,
     order_polytope_irredundant,
-    row_is_necessary,
     signed_filters,
     vertices,
 )
@@ -306,47 +305,53 @@ def check_filters_vertices(p: SignedPoset) -> CheckResult:
 
 def check_irredundant_description(p: SignedPoset) -> CheckResult:
     """irr, the rows of M plus the cube rows of pmax and nmax, is O_P, and
-    each of its rows is necessary.
+    each of its rows is necessary, with no LP.
 
-    irr keeps a subset of O_P's rows, so O_P ⊆ irr.  Each cube row irr leaves
-    out holds on irr: by one of irr's single-coordinate rows where one
-    implies it, and by the LP on the other sides (an implied row has no
-    integer witness, so the LP is asked directly).  Adding those cube rows
-    to irr then leaves it the same polytope, which, unlike irr, has a box to
-    count in; its counts must equal O_P's at t = 1..T_MAX.
+    irr keeps a subset of O_P's rows, so O_P ⊆ irr, and its `derived_bounds`
+    must hold all 2n sides of the cube.  Adding the cube rows it leaves out
+    then leaves it the same polytope, which, unlike irr, has a box to count
+    in; its counts must equal O_P's at t = 1..T_MAX.  Each row of irr needs a
+    `necessity_witness` that, evaluated again row by row, violates it alone.
     """
     full = order_polytope(p)
     irr = order_polytope_irredundant(p)
     kept = {(row.a, row.b) for row in irr.rows}
-    subset = kept <= {(row.a, row.b) for row in full.rows}
     left_out = tuple(row for row in cube_rows(p.n) if (row.a, row.b) not in kept)
-    in_cube = all(_holds_on(irr, row) for row in left_out)
     boxed = HalfspaceSystem(p.n, irr.rows + left_out)
-    same_points = all(
-        count_points(full, t) == count_points(boxed, t) for t in range(1, T_MAX + 1)
+    passed = (
+        kept <= {(row.a, row.b) for row in full.rows}
+        and len(derived_bounds(irr)) == 2 * p.n
+        and all(count_points(full, t) == count_points(boxed, t) for t in range(1, T_MAX + 1))
+        and all(_witnessed(irr, i) for i in range(len(irr.rows)))
     )
-    all_needed = all(row_is_necessary(irr, i) for i in range(len(irr.rows)))
     return CheckResult(
         "irredundant-description",
-        subset and in_cube and same_points and all_needed,
+        passed,
         {"full_rows": len(full.rows), "irredundant_rows": len(irr.rows)},
     )
 
 
-def _holds_on(system: HalfspaceSystem, row: Halfspace) -> bool:
-    """Whether the row ±x_i ≥ b holds on all of the system: by a row
-    c·x_i ≥ b' of it with c of the same sign and b'/|c| ≥ b, else by the LP."""
-    (i,) = [k for k, c in enumerate(row.a) if c != 0]
-    for other in system.rows:
-        c = other.a[i]
-        if (
-            c * row.a[i] > 0
-            and other.b >= row.b * abs(c)
-            and not any(other.a[:i] + other.a[i + 1 :])
-        ):
-            return True
-    probe = HalfspaceSystem(system.n, system.rows + (row,))
-    return not _lp_row_is_necessary(probe, len(system.rows))
+def derived_bounds(system: HalfspaceSystem) -> set[tuple[int, int]]:
+    """The (k, s) such that s·x_k ≥ −1 follows from the rows, s = ±1.
+
+    Seeds are rows s·x_k ≥ b with b ≥ −1.  From a row s·x_k + c·x_j ≥ b ≥ 0
+    with c = ±1 and a derived (j, −c), that is c·x_j ≤ 1, follows (k, s).
+    Each step is an exact integer inference on unit coefficients.
+    """
+    terms = [(tuple((k, c) for k, c in enumerate(row.a) if c), row.b) for row in system.rows]
+    bounds = {t[0] for t, b in terms if len(t) == 1 and abs(t[0][1]) == 1 and b >= -1}
+    pairs = [t for t, b in terms if len(t) == 2 and {abs(c) for _, c in t} == {1} and b >= 0]
+    while new := {ks for t in pairs for ks, (j, c) in (t, t[::-1]) if (j, -c) in bounds} - bounds:
+        bounds |= new
+    return bounds
+
+
+def _witnessed(system: HalfspaceSystem, index: int) -> bool:
+    """Whether the row's `necessity_witness` violates it and no other row."""
+    x = necessity_witness(system, index)
+    return x is not None and all(
+        (row.evaluate(x) >= row.b) != (k == index) for k, row in enumerate(system.rows)
+    )
 
 
 def check_triangulation(p: SignedPoset) -> CheckResult:
@@ -535,24 +540,22 @@ def verify_poset(p: SignedPoset) -> PosetReport:
 
 def _window_of(sub, sup) -> bool:
     m = len(sub.c)
-    for offset in range(len(sup.c) - m + 1):
-        if (
-            sup.c[offset : offset + m] == sub.c
-            and sup.s[offset : offset + m - 1] == sub.s
-        ):
-            return True
-    return False
+    return any(
+        sup.c[k : k + m] == sub.c and sup.s[k : k + m - 1] == sub.s
+        for k in range(len(sup.c) - m + 1)
+    )
 
 
 def subchain_sufficiency_witness(n: int = 3, force: bool = False) -> Optional[dict]:
     """A poset where dropping rows of non-maximal chains changes C_P.
 
     Classically maximal chains suffice; the signed analogue fails.  Keeps the
-    cube (singleton chains) and the rows of window-maximal chains, then asks
-    whether any dropped row still cuts.  Returns the first witness.
+    cube (singleton chains) and the rows of window-maximal chains, then looks
+    for a dropped row that still cuts, shown by a `necessity_witness` point
+    and no LP.  Returns the first witness.
     """
     for p, chain, trial in subchain_trials(n, force):
-        if row_is_necessary(trial, len(trial.rows) - 1):
+        if _witnessed(trial, len(trial.rows) - 1):
             return {
                 "poset": p.tokens(),
                 "chain": chain.to_json_dict(),
@@ -642,17 +645,10 @@ class CatalogReport:
 
     @property
     def passed(self) -> bool:
-        if any(not extra_ok for extra_ok in self._extra_flags()):
-            return False
-        return not self.failures
-
-    def _extra_flags(self) -> list[bool]:
-        flags = []
-        if "isomorphism_invariance" in self.extras:
-            flags.append(self.extras["isomorphism_invariance"]["invariant"])
-        if "subchain_witness" in self.extras:
-            flags.append(self.extras["subchain_witness"] is not None)
-        return flags
+        """No failed check, and each extra that is present holds."""
+        invariance = self.extras.get("isomorphism_invariance", {"invariant": True})
+        witness = self.extras.get("subchain_witness", {})
+        return not self.failures and invariance["invariant"] and witness is not None
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from reference_kernels import is_closed
+from signedposets import verify
 from signedposets.catalog import (
     canonical_form,
     census,
@@ -12,6 +13,7 @@ from signedposets.catalog import (
     iter_signed_posets,
     naturally_labeled_count,
 )
+from signedposets.geometry import order_polytope_irredundant
 from signedposets.perms import act_poset, enumerate_signed_permutations
 from signedposets.posets import SignedPoset
 from signedposets.roots import Root
@@ -82,12 +84,24 @@ def test_n3_catalog_is_lp_closed():
     assert all(is_closed(p) for p in iter_signed_posets(3))
 
 
+def irredundant_certified(p):
+    """irr's derived bounds hold all 2n cube sides, and each row of irr has a
+    witness point that violates it alone: the check's certificates, no LP."""
+    irr = order_polytope_irredundant(p)
+    return len(verify.derived_bounds(irr)) == 2 * p.n and all(
+        verify._witnessed(irr, index) for index in range(len(irr.rows))
+    )
+
+
 def test_n4_total():
-    # each one proved closed, with its minimal representation, by certificates
+    # each one proved closed, with its minimal representation, by certificates,
+    # and its irredundant description in the cube, with every row necessary
     posets = enumerate_signed_posets(4, force=True)
     assert len(posets) == 60201
     failed = [p for p in posets if not check_minimal_representation(p).passed]
     assert failed == []
+    uncertified = [p for p in posets if not irredundant_certified(p)]
+    assert uncertified == []
 
 
 def test_canonical_form_constant_on_orbits():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.geometry import (
     interior_point,
+    necessity_witness,
     order_cone,
     order_polytope,
     order_polytope_irredundant,
@@ -145,6 +146,16 @@ def test_row_is_necessary_detects_duplicates():
     assert all(row_is_necessary(cube, i) for i in range(4))
     padded = HalfspaceSystem(2, tuple(cube_rows(2)) + (Halfspace((1, 0), -1, "dup"),))
     assert not row_is_necessary(padded, 4)
+
+
+def test_necessity_witness_is_the_first_grid_point_violating_the_row_alone():
+    # cube rows: x ≥ −1, −x ≥ −1, y ≥ −1, −y ≥ −1, in [−2, 2]² in product order
+    cube = HalfspaceSystem(2, tuple(cube_rows(2)))
+    assert [necessity_witness(cube, i) for i in range(4)] == [
+        (-2, -1), (2, -1), (-1, -2), (-1, 2)
+    ]
+    padded = HalfspaceSystem(2, tuple(cube_rows(2)) + (Halfspace((1, 0), -1, "dup"),))
+    assert necessity_witness(padded, 4) is None
 
 
 def test_interior_point_pinned_values():

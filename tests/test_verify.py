@@ -5,7 +5,7 @@ import re
 import pytest
 
 import reference_kernels
-from signedposets import halfspaces, jordan, verify
+from signedposets import halfspaces, jordan, linalg, verify
 from signedposets.ehrhart import count_points
 from signedposets.geometry import order_polytope_irredundant
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
@@ -165,7 +165,8 @@ def test_reports_share_one_layout_and_rebuild_their_checks():
 @pytest.mark.parametrize(
     "tokens, label",
     [
-        # Without x_1 ≤ 1 the LP finds the pruned system leaving the cube.
+        # 1 ∈ pmax, so irr keeps x_1 ≤ 1; without it no row derives that
+        # side of the cube.
         ([], "cube-upper(1)"),
         # Without x_2 ≤ 0 it stays in the cube, but counts more points.
         (["+1-2", "-2"], "root -2"),
@@ -182,16 +183,73 @@ def test_irredundant_check_fails_without_a_needed_row(monkeypatch, tokens, label
     assert not check.passed and "exception" not in check.detail
 
 
-def test_a_cube_row_holds_by_a_tighter_single_coordinate_row_or_by_the_lp():
-    at_least_minus_one, at_most_one = Halfspace((1,), -1), Halfspace((-1,), -1)
-    # 2x ≤ 1 implies x ≤ 1; x ≤ 2 does not, and the LP finds x = 2.
-    half = HalfspaceSystem(1, (at_least_minus_one, Halfspace((-2,), -1)))
-    two = HalfspaceSystem(1, (at_least_minus_one, Halfspace((-1,), -2)))
-    assert verify._holds_on(half, at_most_one) and verify._holds_on(two, at_least_minus_one)
-    assert not verify._holds_on(two, at_most_one)
+@pytest.mark.parametrize(
+    "rows, derived",
+    [
+        ([((-1,), 0)], {(0, -1)}),  # x ≤ 0 gives x ≤ 1
+        ([((-1, 1), 0), ((0, -1), -1)], {(0, -1), (1, -1)}),  # x ≤ y, y ≤ 1 give x ≤ 1
+        ([((-1, -1), 0), ((0, 1), -1)], {(0, -1), (1, 1)}),  # x ≤ −y, y ≥ −1 give x ≤ 1
+        ([((-1,), -2)], set()),  # x ≤ 2 gives nothing
+    ],
+    ids=["x<=0", "x<=y<=1", "x<=-y<=1", "x<=2"],
+)
+def test_cube_bounds_are_derived_from_unit_rows(rows, derived):
+    system = HalfspaceSystem(len(rows[0][0]), tuple(Halfspace(a, b) for a, b in rows))
+    assert verify.derived_bounds(system) == derived
 
 
 FIG1 = ["-1+2", "+1+2"]
+
+
+def _irr_with_a_duplicated_row(monkeypatch, irr):
+    doubled = HalfspaceSystem(2, irr.rows + irr.rows[:1])
+    assert verify.necessity_witness(doubled, 0) is None
+    monkeypatch.setattr(verify, "order_polytope_irredundant", lambda q: doubled)
+
+
+def _witness_of_another_row(monkeypatch, irr):
+    # it satisfies every row but the other one, its own row included
+    found = verify.necessity_witness
+    monkeypatch.setattr(
+        verify, "necessity_witness", lambda system, i: found(system, (i + 1) % len(system.rows))
+    )
+
+
+@pytest.mark.parametrize("mutate", [_irr_with_a_duplicated_row, _witness_of_another_row])
+def test_irredundant_check_fails_on_a_bad_witness(monkeypatch, mutate):
+    # A missing cube bound is test_irredundant_check_fails_without_a_needed_row.
+    p = mk(2, FIG1)
+    assert verify.check_irredundant_description(p).passed
+    mutate(monkeypatch, order_polytope_irredundant(p))
+    check = verify.check_irredundant_description(p)
+    assert not check.passed and "exception" not in check.detail
+
+
+def _no_lp(*args):
+    raise AssertionError("solved an LP")
+
+
+@pytest.mark.parametrize(
+    "n, witness",
+    [
+        (3, {
+            "poset": ["+1-2", "+1-3", "+2-3"],
+            "chain": {"C": [1, 2], "S": [1], "witness": ["+1-2"]},
+            "row": [1, 1, 0],
+            "kept_rows": 10,
+        }),
+        (4, {
+            "poset": ["+2-3", "+2-4", "+3-4"],
+            "chain": {"C": [2, 3], "S": [1], "witness": ["+2-3"]},
+            "row": [0, 1, 1, 0],
+            "kept_rows": 12,
+        }),
+    ],
+    ids=["n3", "n4"],
+)
+def test_subchain_witness_is_found_without_the_lp(monkeypatch, n, witness):
+    monkeypatch.setattr(linalg, "solve_standard", _no_lp)
+    assert subchain_sufficiency_witness(n, force=True) == witness
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ Each report is `json.dumps(verify_poset(p).to_json_dict(), sort_keys=True)`
 plus a newline, taken over `enumerate_signed_posets(n)` in order.  One line
 per rank gives the count and the digest of that rank's reports; the last line
 is the digest of all of them together.  Two trees with the same output give
-byte-identical reports.  It takes no options; n = 3 takes about 15 s.
+byte-identical reports.  It takes no options; n = 3 takes about 4 s.
 
     python3 scripts/report_digest.py
 """
@@ -23,14 +23,17 @@ from signedposets.verify import verify_poset
 RANKS = (1, 2, 3)
 
 
+def report_bytes(reports) -> bytes:
+    """The bytes that the digests hash: one sorted-key JSON line a report."""
+    return "".join(
+        json.dumps(report.to_json_dict(), sort_keys=True) + "\n" for report in reports
+    ).encode()
+
+
 def rank_digest(n: int) -> tuple[int, bytes]:
     """The number of posets on [n] and the bytes of all their reports."""
     posets = enumerate_signed_posets(n)
-    lines = [
-        json.dumps(verify_poset(p).to_json_dict(), sort_keys=True) + "\n"
-        for p in posets
-    ]
-    return len(posets), "".join(lines).encode()
+    return len(posets), report_bytes(map(verify_poset, posets))
 
 
 def main() -> None:

@@ -24,7 +24,7 @@ from .halfspaces import (
     select,
 )
 from .linalg import minimize, rank
-from .posets import SignedPoset, from_generators, minimal_representation
+from .posets import SignedPoset, from_generators, minimal_representation, per_poset
 from .roots import Root
 
 
@@ -34,6 +34,7 @@ def _root_rows(roots: Iterable[Root], n: int) -> list[Halfspace]:
     ]
 
 
+@per_poset
 def order_polytope(p: SignedPoset) -> HalfspaceSystem:
     """Full H-description: every poset row plus all 2n cube rows."""
     return HalfspaceSystem(p.n, tuple(_root_rows(p.roots, p.n) + cube_rows(p.n)))
@@ -156,13 +157,14 @@ def interior_point(p: SignedPoset) -> tuple[Fraction, ...]:
     word: q = (ω(1), …, ω(n)) / (n+1).  Every poset row is strictly positive
     at q because ⟨α, ω⟩ ≥ 0 and the entries of ω have distinct absolute
     values (no cancellation to zero is possible), and |q_i| ≤ n/(n+1) < 1.
+    The postcondition is tested in integers: q is strictly inside O_P
+    exactly when ω is strictly inside (n+1)·O_P.
     """
     from .jordan import jh_representative
 
-    omega = jh_representative(p)
-    q = tuple(Fraction(v, p.n + 1) for v in omega.as_point())
-    if not order_polytope(p).contains(q, strict=True):
+    omega = jh_representative(p).as_point()
+    if not order_polytope(p).contains(omega, t=p.n + 1, strict=True):
         raise InternalInconsistency(
-            f"constructed point {q} is not strictly interior to O_P for {p!r}"
+            f"constructed point {omega}/{p.n + 1} is not strictly interior to O_P for {p!r}"
         )
-    return q
+    return tuple(Fraction(v, p.n + 1) for v in omega)

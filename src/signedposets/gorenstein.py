@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import CycleDetected
 from .halfspaces import Halfspace, HalfspaceSystem, cube_rows, dedupe_rows
-from .posets import SignedPoset, minimal_representation
+from .posets import SignedPoset, minimal_representation, per_poset
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return closure
 
 
+@per_poset
 def fischer_representation(p: SignedPoset) -> ClassicalPoset:
     """Ĝ(P): generators per root of P, transitively closed, antisymmetry asserted.
 
@@ -68,6 +69,7 @@ def fischer_representation(p: SignedPoset) -> ClassicalPoset:
     return _fischer_closure(p, p.roots)
 
 
+@per_poset
 def minimal_fischer_representation(p: SignedPoset) -> ClassicalPoset:
     """Ĝ(M): the same rules on the minimal representation M of P only.
 

@@ -35,7 +35,7 @@ from .errors import InternalInconsistency
 from .halfspaces import select
 from .linalg import det
 from .perms import SignedPermutation, act_poset, enumerate_signed_permutations
-from .posets import SignedPoset
+from .posets import SignedPoset, per_poset
 from .roots import Root, inner_product
 
 
@@ -91,6 +91,7 @@ def jordan_holder(p: SignedPoset) -> list[SignedPermutation]:
     return out
 
 
+@per_poset
 def jh_representative(p: SignedPoset) -> SignedPermutation:
     """The canonical (lexicographically greatest) element of JH(P)."""
     return max(jordan_holder(p))
@@ -102,6 +103,7 @@ def is_naturally_labeled(p: SignedPoset) -> bool:
     return all(inner_product(alpha, ident) >= 0 for alpha in p.roots)
 
 
+@per_poset
 def naturalize(p: SignedPoset) -> tuple[SignedPermutation, SignedPoset]:
     """A witness ω ∈ JH(P) and the naturally labeled poset ωP.
 
@@ -165,6 +167,8 @@ def cell_vertices(sigma: SignedPermutation) -> list[tuple[int, ...]]:
     return out
 
 
+# Keyed on the window: 2^n·n! of them at each n, 442 for n ≤ 4 together.
+@lru_cache(maxsize=512)
 def cell_determinant(sigma: SignedPermutation) -> int:
     """Determinant of the edge-vector matrix of Δ_σ (±1: the cells are unimodular)."""
     verts = cell_vertices(sigma)

@@ -189,6 +189,13 @@ def from_generators(n: int, generators: Iterable[Root]) -> SignedPoset:
     return SignedPoset(n, plc(generators, n))
 
 
+# The constructors that the checks of one poset call again and again keep
+# their value per frozen poset.  One operation touches at most P, its
+# naturalized image and P̂, so four entries each hold them all.
+per_poset = lru_cache(maxsize=4)
+
+
+@per_poset
 def minimal_representation(p: SignedPoset) -> frozenset[Root]:
     """The unique minimal subset M ⊆ P with plc(M) = P.
 

@@ -251,8 +251,15 @@ def check_jordan_holder(p: SignedPoset) -> CheckResult:
 
 
 def check_interior_point(p: SignedPoset) -> CheckResult:
+    """The reported point q lies strictly inside O_P, tested in integers: q
+    is ω/(n+1) for the integer point ω = (n+1)·q, and ω must lie strictly
+    inside (n+1)·O_P."""
     q = interior_point(p)
-    ok = order_polytope(p).contains(q, strict=True)
+    scale = p.n + 1
+    omega = [c.numerator * (scale // c.denominator) for c in q]
+    ok = all(scale % c.denominator == 0 for c in q) and order_polytope(p).contains(
+        omega, t=scale, strict=True
+    )
     return CheckResult(
         "interior-point", ok, {"q": [str(c) for c in q]}
     )

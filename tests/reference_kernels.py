@@ -22,6 +22,8 @@ is the triangulation check comparing `contains` with ownership at each cube
 point, `jordan_holder_by_scan` tests each signed permutation against each
 root, `row_is_necessary_by_scan` looks for a witness point by point before
 the LP, and `grid_mask_by_contains` asks `contains` at each grid point.
+`strictly_inside_by_fractions` is the interior-point test before it went to
+integers: ω/(n+1) in `Fraction`s against the rows of O_P.
 """
 
 from fractions import Fraction
@@ -371,3 +373,8 @@ def grid_mask_by_contains(system, r: int, t: int = 1, strict: bool = False) -> i
         for k, x in enumerate(grid_points(system.n, r))
         if system.contains(x, t, strict)
     )
+
+
+def strictly_inside_by_fractions(p, word) -> bool:
+    """Whether q = word/(n+1), in `Fraction`s, is strictly inside O_P."""
+    return order_polytope(p).contains(tuple(Fraction(v, p.n + 1) for v in word), strict=True)

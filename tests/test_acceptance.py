@@ -3,16 +3,21 @@
 Most criteria quantify over every signed poset at n = 1, 2, 3, so a single
 module-scoped sweep pushes all 977 posets through the cross-oracle
 verification layer once and the tests read the tallies off the reports.
-The sweep runs with the LP switched off, so every report is made without it.
+The sweep runs with the LP switched off, so every report is made without it,
+and keeps its reports, whose digests are pinned.
 The terminal section printed at the end (see conftest) gives the one-line
 PASS/FAIL verdict per criterion.
 """
 
+import hashlib
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
-from signedposets import linalg
+from signedposets import linalg, verify
+from signedposets.catalog import enumerate_signed_posets
 from signedposets.chains import chain_polytope
 from signedposets.ehrhart import (
     count_points,
@@ -22,7 +27,7 @@ from signedposets.ehrhart import (
 from signedposets.geometry import order_polytope, signed_filters, vertices
 from signedposets.posets import from_generators, minimal_representation
 from signedposets.roots import parse_root
-from signedposets.verify import verify_catalog
+from signedposets.verify import verify_catalog, verify_poset
 
 EXPECTED_TOTALS = {1: 3, 2: 33, 3: 941}
 
@@ -36,10 +41,24 @@ def no_lp(*args):
 
 
 @pytest.fixture(scope="module")
-def sweep():
+def swept():
+    """The catalog reports at n = 1, 2, 3, and the poset reports they were
+    made from, by poset tokens."""
+    reports = {}
+
+    def kept(p):
+        reports[p.n, tuple(p.tokens())] = report = verify_poset(p)
+        return report
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "solve_standard", no_lp)
-        return {n: verify_catalog(n) for n in (1, 2, 3)}
+        patch.setattr(verify, "verify_poset", kept)
+        return {n: verify_catalog(n) for n in (1, 2, 3)}, reports
+
+
+@pytest.fixture(scope="module")
+def sweep(swept):
+    return swept[0]
 
 
 def all_pass(sweep, check):
@@ -140,3 +159,25 @@ def test_criterion_12_known_values(acceptance_detail):
     assert hstar_from_counts(order_polytope(mk(2, ["+1", "+2"]))) == (1, 1)
     assert hstar_from_counts(chain_polytope(mk(2, ["+1+2"]))) == (1, 4, 1)
     acceptance_detail("h*: cube 1+6z+z^2, positive quadrant 1+z, C_{e1+e2} 1+4z+z^2")
+
+
+def test_the_sweeps_reports_have_the_pinned_digests(swept):
+    # The reports that `scripts/report_digest.py` hashes, taken from the
+    # sweep above in that script's order: n = 3's digest, and all three ranks'.
+    _, reports = swept
+    path = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    data = {
+        n: script.report_bytes(
+            reports[n, tuple(p.tokens())] for p in enumerate_signed_posets(n)
+        )
+        for n in (1, 2, 3)
+    }
+    assert hashlib.sha256(data[3]).hexdigest() == (
+        "07e173b95278cc9d5bd4d87abcc8450ecd0815e73784ba8b2b201af0b1db1130"
+    )
+    assert hashlib.sha256(data[1] + data[2] + data[3]).hexdigest() == (
+        "c4322e00c62ebbaaa0aca25ad88e88f0de1fa1866c49fbcc4c1ed21866ed2c11"
+    )

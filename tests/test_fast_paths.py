@@ -35,6 +35,7 @@ from reference_kernels import (
     reciprocity_by_interpolation,
     reference_point,
     row_is_necessary_by_scan,
+    strictly_inside_by_fractions,
     triangulation_by_cell_scan,
     triangulation_by_owner_scan,
 )
@@ -67,6 +68,7 @@ from signedposets.posets import from_generators
 from signedposets.roots import all_roots
 from signedposets.verify import (
     check_chain_polytope,
+    check_interior_point,
     check_minimal_representation,
     check_triangulation,
     subchain_trials,
@@ -419,3 +421,16 @@ def test_every_count_of_a_verify_sweep_solves_no_lp(monkeypatch):
     for (system, t, strict), value in counted.items():
         assert count_points(system, t, strict) == value
     assert len(counted) > 400
+
+
+def test_interior_point_in_integers_equals_the_fraction_test_up_to_n3_and_at_n4():
+    # At every word of the group, JH(P)'s and the others': ω/(n+1) is strictly
+    # inside O_P exactly when ω is strictly inside (n+1)·O_P, that is, when
+    # ω ∈ JH(P).
+    for p in CATALOG + _seeded_posets(4, 30, "count-oracle:4"):
+        system, jh = order_polytope(p), set(jordan_holder(p))
+        for word in enumerate_signed_permutations(p.n):
+            omega = word.as_point()
+            integer = system.contains(omega, t=p.n + 1, strict=True)
+            assert integer == strictly_inside_by_fractions(p, omega) == (word in jh), p.tokens()
+        assert check_interior_point(p).passed, p.tokens()

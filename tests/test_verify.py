@@ -1,6 +1,7 @@
 """The cross-oracle verification layer itself."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -378,3 +379,19 @@ def test_triangulation_check_fails_when_the_half_opening_rule_breaks(
         assert owner_table(n, 1).counterexample is not None
         bad = _failed_with_counterexample(verify.check_triangulation(mk(n, [])))
         assert set(bad) == {"t", "x", "window"} and bad["t"] == 1
+
+
+def test_interior_point_check_fails_on_a_word_outside_jh(monkeypatch):
+    # A word outside JH(P) is negative on some root of P, so ω/(n+1) is not
+    # strictly inside O_P: interior_point's own postcondition raises, and the
+    # check, handed that point unguarded, fails on it.
+    p = mk(2, FIG1)
+    stranger = next(s for s in enumerate_signed_permutations(2) if s not in jordan_holder(p))
+    monkeypatch.setattr(jordan, "jh_representative", lambda q: stranger)
+    (check,) = [c for c in verify_poset(p).checks if c.name == "interior-point"]
+    assert not check.passed and check.detail["exception"] == "InternalInconsistency"
+
+    scaled = tuple(Fraction(v, 3) for v in stranger.images)
+    monkeypatch.setattr(verify, "interior_point", lambda q: scaled)
+    check = verify.check_interior_point(p)
+    assert not check.passed and check.detail == {"q": [str(c) for c in scaled]}

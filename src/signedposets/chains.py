@@ -14,7 +14,6 @@ without changing the polytope's defining rows in any example we know).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd
 from typing import Optional
@@ -23,7 +22,7 @@ from .ehrhart import count_points, ehrhart_polynomial, poly_to_json
 from .geometry import cube_vertices, order_polytope, signed_filters, vertices
 from .halfspaces import Halfspace, HalfspaceSystem, dedupe_rows, grid_points, select
 from .posets import SignedPoset, per_poset
-from .roots import Root, inner_product
+from .roots import Root, from_vector, inner_product
 
 
 @dataclass(frozen=True)
@@ -54,30 +53,30 @@ class SignedChain:
         }
 
 
-# Keyed on (c, d, s), which do not depend on n: 2n(n−1) steps for indices ≤ n.
-@lru_cache(maxsize=128)
-def _step_roots(c: int, d: int, s: int) -> tuple[Root, Root]:
-    """The two roots that can support the step (c, d, s), negatives of each
-    other, so asymmetry of P leaves at most one of them in P."""
+def _witness_for(p: SignedPoset, c: int, d: int, s: int) -> Optional[Root]:
+    """The unique root of P supporting the step (c, d, s), if any.
+
+    The two candidates are negatives of each other, so asymmetry of P leaves
+    at most one.
+    """
     lo, hi = min(c, d), max(c, d)
     if s == 1:
         candidate = Root.pair(lo, 1 if lo == c else -1, hi, 1 if hi == c else -1)
     else:
         candidate = Root.pair(lo, 1, hi, 1)
-    return candidate, -candidate
+    if candidate in p.roots:
+        return candidate
+    if -candidate in p.roots:
+        return -candidate
+    return None
 
 
-# Keyed on a pair of two-index roots: 576 pairs for indices ≤ 4.
-@lru_cache(maxsize=1024)
-def _root_sum(a: Root, b: Root) -> Optional[Root]:
-    """α + β if it is a root, else None."""
-    total = dict(a.entries)
-    for i, s in b.entries:
-        total[i] = total.get(i, 0) + s
-    entries = tuple(sorted((i, s) for i, s in total.items() if s))
-    if not 1 <= len(entries) <= 2 or any(abs(s) != 1 for _, s in entries):
-        return None
-    return Root(entries)
+def _sum_in_poset(p: SignedPoset, a: Root, b: Root) -> bool:
+    """Is α + β again a root of P?  (False when the sum is not a root at all.)"""
+    vec = [x + y for x, y in zip(a.vector(p.n), b.vector(p.n))]
+    if any(v not in (-1, 0, 1) for v in vec) or not any(vec):
+        return False
+    return from_vector(vec) in p.roots
 
 
 def enumerate_chains(p: SignedPoset) -> list[SignedChain]:
@@ -96,10 +95,10 @@ def enumerate_chains(p: SignedPoset) -> list[SignedChain]:
             if d in chain.c:
                 continue
             for s in (1, -1):
-                alpha = next((r for r in _step_roots(chain.c[-1], d, s) if r in p.roots), None)
+                alpha = _witness_for(p, chain.c[-1], d, s)
                 if alpha is None:
                     continue
-                if chain.witness and _root_sum(chain.witness[-1], alpha) not in p.roots:
+                if chain.witness and not _sum_in_poset(p, chain.witness[-1], alpha):
                     continue
                 longer = SignedChain(
                     chain.c + (d,), chain.s + (s,), chain.witness + (alpha,)

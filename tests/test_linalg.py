@@ -81,6 +81,9 @@ def test_vertices_and_cell_determinants_build_no_fraction(monkeypatch):
         raise AssertionError("linalg built a Fraction")
 
     monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    # The determinants above sit in cell_determinant's cache; empty it so
+    # that each one below is computed again under the raising Fraction.
+    cell_determinant.cache_clear()
     got = [(vertices(p), [cell_determinant(w) for w in ws]) for p, ws in windows]
     assert got == expected
 

@@ -1,11 +1,22 @@
 """Signed chains, the chain polytope C_P, antichains, and reflexivity.
 
-A chain is an index sequence with interlocking sign data: consecutive pairs
-must be supported by roots of P (sign +1 wants ±(e_c − e_d), sign −1 wants
-±(e_c + e_d)) whose consecutive sums again lie in P.  Each chain contributes
-the inequality pair −1 ≤ Σ_k (s_1⋯s_{k−1}) x_{c_k} ≤ 1; singletons give the
-cube, so C_P ⊆ [−1,1]^n always, and every right-hand side is 1 — C_P is
-reflexive by construction.
+A signed chain is an index sequence C = (c_1, …, c_k) with distinct entries
+and signs S = (s_1, …, s_{k−1}).  It names the labels u_k = s_1⋯s_{k−1}·c_k
+of Fischer's poset Ĝ(P) (`gorenstein`), where u < v when c(v) − c(u) is a
+root of P, for c(±i) = ±e_i.  By definition each step ±(u_{k+1} − u_k) is a
+root of P and so are the sums of consecutive steps.  For P closed, these are
+exactly the chains u_1 < … < u_k and u_1 > … > u_k of Ĝ(P), because:
+  1. a step ±(c(u_{k+1}) − c(u_k)) in P is a relation of Ĝ(P), one way or
+     the other;
+  2. two consecutive steps sum to a root only when they point the same way
+     (otherwise the sum has ±2 at c_k), so the labels are monotone;
+  3. u < v in Ĝ(P) with |u| ≠ |v| puts c(v) − c(u), a root in cone(P), in
+     P; so every step of a monotone chain, and every sum of steps, is in P.
+The witness of a step is that root, c(hi) − c(lo).
+
+Each chain contributes the inequality pair −1 ≤ Σ_k (s_1⋯s_{k−1}) x_{c_k} ≤ 1;
+singletons give the cube, so C_P ⊆ [−1,1]^n always, and every right-hand
+side is 1 — C_P is reflexive by construction.
 
 Chain entries are kept distinct (repeats would make the chain set infinite
 without changing the polytope's defining rows in any example we know).
@@ -16,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Optional
 
 from .ehrhart import count_points, ehrhart_polynomial, poly_to_json
 from .geometry import cube_vertices, order_polytope, signed_filters, vertices
+from .gorenstein import fischer_representation, relation_vector
 from .halfspaces import Halfspace, HalfspaceSystem, dedupe_rows, grid_points, select
 from .posets import SignedPoset, per_poset
 from .roots import Root, from_vector, inner_product
@@ -53,61 +64,38 @@ class SignedChain:
         }
 
 
-def _witness_for(p: SignedPoset, c: int, d: int, s: int) -> Optional[Root]:
-    """The unique root of P supporting the step (c, d, s), if any.
-
-    The two candidates are negatives of each other, so asymmetry of P leaves
-    at most one.
-    """
-    lo, hi = min(c, d), max(c, d)
-    if s == 1:
-        candidate = Root.pair(lo, 1 if lo == c else -1, hi, 1 if hi == c else -1)
-    else:
-        candidate = Root.pair(lo, 1, hi, 1)
-    if candidate in p.roots:
-        return candidate
-    if -candidate in p.roots:
-        return -candidate
-    return None
-
-
-def _sum_in_poset(p: SignedPoset, a: Root, b: Root) -> bool:
-    """Is α + β again a root of P?  (False when the sum is not a root at all.)"""
-    vec = [x + y for x, y in zip(a.vector(p.n), b.vector(p.n))]
-    if any(v not in (-1, 0, 1) for v in vec) or not any(vec):
-        return False
-    return from_vector(vec) in p.roots
-
-
 def enumerate_chains(p: SignedPoset) -> list[SignedChain]:
-    """All chains of P with distinct entries, by depth-first extension.
+    """All chains of P with distinct entries, sorted by (length, C, S).
 
-    Singletons are always chains.  For longer chains the witness at each step
-    is forced (asymmetry), so the existential over witness tuples reduces to
-    checking the consecutive-sum condition along the way.
+    Each is a walk up or down the relations of Ĝ(P) from a positive first
+    label, through labels of distinct |label|.  That this gives the chains
+    defined by roots (module docstring) needs P closed; every factory builds
+    it closed, and `verify.check_minimal_representation` proves it.
     """
-    out: list[SignedChain] = [
-        SignedChain((i,), (), ()) for i in range(1, p.n + 1)
-    ]
+    steps: dict[tuple[int, int], list[int]] = {}  # (label, +1 up or −1 down)
+    for lo, hi in fischer_representation(p).lt:
+        if lo and hi and abs(lo) != abs(hi):
+            steps.setdefault((lo, 1), []).append(hi)
+            steps.setdefault((hi, -1), []).append(lo)
+    singles = [SignedChain((i,), (), ()) for i in range(1, p.n + 1)]
+    out = list(singles)
 
-    def extend(chain: SignedChain) -> None:
-        for d in range(1, p.n + 1):
-            if d in chain.c:
+    def extend(chain: SignedChain, label: int, way: int) -> None:
+        for nxt in steps.get((label, way), ()):
+            if abs(nxt) in chain.c:
                 continue
-            for s in (1, -1):
-                alpha = _witness_for(p, chain.c[-1], d, s)
-                if alpha is None:
-                    continue
-                if chain.witness and not _sum_in_poset(p, chain.witness[-1], alpha):
-                    continue
-                longer = SignedChain(
-                    chain.c + (d,), chain.s + (s,), chain.witness + (alpha,)
-                )
-                out.append(longer)
-                extend(longer)
+            lo, hi = (label, nxt) if way == 1 else (nxt, label)
+            longer = SignedChain(
+                chain.c + (abs(nxt),),
+                chain.s + (1 if (label > 0) == (nxt > 0) else -1,),
+                chain.witness + (from_vector(relation_vector(lo, hi, p.n)),),
+            )
+            out.append(longer)
+            extend(longer, nxt, way)
 
-    for i in range(1, p.n + 1):
-        extend(SignedChain((i,), (), ()))
+    for single in singles:
+        for way in (1, -1):
+            extend(single, single.c[0], way)
     return sorted(out, key=lambda ch: (len(ch.c), ch.c, ch.s))
 
 

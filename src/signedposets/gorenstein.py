@@ -1,13 +1,15 @@
 """Fischer representation on [−n, n] and the Gorenstein characterization.
 
-A set of roots turns into a classical poset on the 2n+1 labels −n..n via five
-generation rules (one per root shape), transitively closed: Ĝ(P) from all of
-a signed poset P, Ĝ(M) from its minimal representation M.  O_P is Gorenstein
-exactly when Ĝ(M) is graded (checked on every n ≤ 4 poset); the library
-answer comes from chain lengths, and `verify.check_gorenstein_triple`
+A set of roots turns into a classical poset on the 2n+1 labels −n..n by one
+rule, transitively closed: u < v when c(v) − c(u) is one of the roots, for
+the label map c(0) = 0, c(±i) = ±e_i (`label_vector`).  Ĝ(P) comes from all
+of a signed poset P, Ĝ(M) from its minimal representation M.  O_P is
+Gorenstein exactly when Ĝ(M) is graded (checked on every n ≤ 4 poset); the
+library answer comes from chain lengths, and `verify.check_gorenstein_triple`
 cross-checks it against both the palindromic-h* and the counting
 characterizations.  Ĝ(P), which has every relation P implies, is the one
-held to Fischer's central symmetry.
+held to Fischer's central symmetry, and `chains` reads the signed chains
+off it.
 """
 
 from __future__ import annotations
@@ -60,11 +62,13 @@ def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
 
 @per_poset
 def fischer_representation(p: SignedPoset) -> ClassicalPoset:
-    """Ĝ(P): generators per root of P, transitively closed, antisymmetry asserted.
+    """Ĝ(P): u < v for each root c(v) − c(u) of P, transitively closed,
+    antisymmetry asserted.
 
-    Rules (a, b are the support indices of a two-index root, read with signs):
-    −e_a+e_b gives a<b and −b<−a; −e_a−e_b gives a<−b and b<−a;
-    e_a+e_b gives −a<b and −b<a; −e_a gives a<0 and 0<−a; e_a gives −a<0 and 0<a.
+    A root s·e_i + r·e_j gives −s·i < r·j and −r·j < s·i; a root s·e_i gives
+    −s·i < 0 < s·i, the same rule with r·j read as the label 0.  Since P is
+    closed, u < v in Ĝ(P) with |u| ≠ |v| holds exactly when c(v) − c(u) ∈ P:
+    a path of roots from u to v sums to c(v) − c(u), a root in cone(P).
     """
     return _fischer_closure(p, p.roots)
 
@@ -90,22 +94,9 @@ def minimal_fischer_representation(p: SignedPoset) -> ClassicalPoset:
 def _fischer_closure(p: SignedPoset, roots) -> ClassicalPoset:
     pairs: set[tuple[int, int]] = set()
     for alpha in roots:
-        if len(alpha.entries) == 1:
-            ((i, s),) = alpha.entries
-            if s > 0:
-                pairs.update({(-i, 0), (0, i)})
-            else:
-                pairs.update({(i, 0), (0, -i)})
-        else:
-            (i, si), (j, sj) = alpha.entries
-            if (si, sj) == (-1, 1):  # −e_i + e_j
-                pairs.update({(i, j), (-j, -i)})
-            elif (si, sj) == (1, -1):  # e_i − e_j = −e_j + e_i
-                pairs.update({(j, i), (-i, -j)})
-            elif (si, sj) == (-1, -1):  # −e_i − e_j
-                pairs.update({(i, -j), (j, -i)})
-            else:  # e_i + e_j
-                pairs.update({(-i, j), (-j, i)})
+        # The entries s·e_i read as labels s·i; a unit root's second label is 0.
+        a, b, *_ = [s * i for i, s in alpha.entries] + [0]
+        pairs.update({(-a, b), (-b, a)})
     closure = _transitive_closure(pairs)
     for u, v in closure:
         if u == v or (v, u) in closure:
@@ -208,27 +199,30 @@ def is_gorenstein(p: SignedPoset) -> bool:
     return is_graded(minimal_fischer_representation(p)).graded
 
 
+def label_vector(label: int, n: int) -> tuple[int, ...]:
+    """Fischer's label map: c(0) = 0, c(i) = e_i and c(−i) = −e_i in Z^n."""
+    vec = [0] * n
+    if label:
+        vec[abs(label) - 1] = 1 if label > 0 else -1
+    return tuple(vec)
+
+
+def relation_vector(u: int, v: int, n: int) -> tuple[int, ...]:
+    """c(v) − c(u): the row of a relation u < v, and for |u| ≠ |v| in Ĝ(P)
+    the root of P behind it."""
+    return tuple(x - y for x, y in zip(label_vector(v, n), label_vector(u, n)))
+
+
 def fischer_halfspaces(q: ClassicalPoset) -> HalfspaceSystem:
-    """O_{Ĝ(P)}: cube rows plus one row per relation under the label map.
+    """O_{Ĝ(P)}: cube rows plus one row ⟨c(v) − c(u), x⟩ ≥ 0 per relation u < v.
 
-    Labels map to coefficient vectors by c(0) = 0, c(i) = e_i, c(−i) = −e_i;
-    a relation u < v becomes ⟨c(v) − c(u), x⟩ ≥ 0.  Equivalent rows produced
-    by symmetric relations are deduplicated.  The result describes the same
-    set as order_polytope(P).
+    Equivalent rows produced by symmetric relations are deduplicated.  The
+    result describes the same set as order_polytope(P).
     """
-
-    def coord(label: int) -> list[int]:
-        vec = [0] * q.n
-        if label > 0:
-            vec[label - 1] = 1
-        elif label < 0:
-            vec[-label - 1] = -1
-        return vec
-
-    rows = []
-    for u, v in sorted(q.lt):
-        a = tuple(x - y for x, y in zip(coord(v), coord(u)))
-        rows.append(Halfspace(a, 0, f"relation {u}<{v}"))
+    rows = [
+        Halfspace(relation_vector(u, v, q.n), 0, f"relation {u}<{v}")
+        for u, v in sorted(q.lt)
+    ]
     return HalfspaceSystem(q.n, dedupe_rows(rows + cube_rows(q.n)))
 
 

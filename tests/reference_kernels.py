@@ -24,6 +24,11 @@ root, `row_is_necessary_by_scan` looks for a witness point by point before
 the LP, and `grid_mask_by_contains` asks `contains` at each grid point.
 `strictly_inside_by_fractions` is the interior-point test before it went to
 integers: ω/(n+1) in `Fraction`s against the rows of O_P.
+`chains_by_steps` enumerates the signed chains before they were read off
+Ĝ(P): at each step the witness root is built from the step and tested for
+membership in P, and so is its sum with the previous witness.
+`fischer_relations_by_cases` is Ĝ's relation set before the one rule: five
+generation cases, one per root shape, transitively closed.
 """
 
 from fractions import Fraction
@@ -31,8 +36,10 @@ from itertools import product
 from typing import Optional
 
 from signedposets import verify
+from signedposets.chains import SignedChain
 from signedposets.ehrhart import count_points, integer_box
 from signedposets.geometry import _lp_row_is_necessary, order_polytope
+from signedposets.gorenstein import _transitive_closure
 from signedposets.halfspaces import grid_points
 from signedposets.jordan import (
     cell,
@@ -46,7 +53,7 @@ from signedposets.jordan import (
 from signedposets.linalg import dot
 from signedposets.perms import SignedPermutation, enumerate_signed_permutations
 from signedposets.posets import cone_contains
-from signedposets.roots import all_roots, inner_product
+from signedposets.roots import Root, all_roots, from_vector, inner_product
 from signedposets.verify import T_MAX, CheckResult
 
 _ZERO = Fraction(0)
@@ -378,3 +385,84 @@ def grid_mask_by_contains(system, r: int, t: int = 1, strict: bool = False) -> i
 def strictly_inside_by_fractions(p, word) -> bool:
     """Whether q = word/(n+1), in `Fraction`s, is strictly inside O_P."""
     return order_polytope(p).contains(tuple(Fraction(v, p.n + 1) for v in word), strict=True)
+
+
+def _witness_for(p, c: int, d: int, s: int) -> Optional[Root]:
+    """The unique root of P supporting the step (c, d, s), if any.
+
+    The two candidates are negatives of each other, so asymmetry of P leaves
+    at most one.
+    """
+    lo, hi = min(c, d), max(c, d)
+    if s == 1:
+        candidate = Root.pair(lo, 1 if lo == c else -1, hi, 1 if hi == c else -1)
+    else:
+        candidate = Root.pair(lo, 1, hi, 1)
+    if candidate in p.roots:
+        return candidate
+    if -candidate in p.roots:
+        return -candidate
+    return None
+
+
+def _sum_in_poset(p, a: Root, b: Root) -> bool:
+    """Is α + β again a root of P?  (False when the sum is not a root at all.)"""
+    vec = [x + y for x, y in zip(a.vector(p.n), b.vector(p.n))]
+    if any(v not in (-1, 0, 1) for v in vec) or not any(vec):
+        return False
+    return from_vector(vec) in p.roots
+
+
+def chains_by_steps(p) -> list[SignedChain]:
+    """All chains of P with distinct entries, by depth-first extension.
+
+    Singletons are always chains.  For longer chains the witness at each step
+    is forced (asymmetry), so the existential over witness tuples reduces to
+    checking the consecutive-sum condition along the way.
+    """
+    out: list[SignedChain] = [
+        SignedChain((i,), (), ()) for i in range(1, p.n + 1)
+    ]
+
+    def extend(chain: SignedChain) -> None:
+        for d in range(1, p.n + 1):
+            if d in chain.c:
+                continue
+            for s in (1, -1):
+                alpha = _witness_for(p, chain.c[-1], d, s)
+                if alpha is None:
+                    continue
+                if chain.witness and not _sum_in_poset(p, chain.witness[-1], alpha):
+                    continue
+                longer = SignedChain(
+                    chain.c + (d,), chain.s + (s,), chain.witness + (alpha,)
+                )
+                out.append(longer)
+                extend(longer)
+
+    for i in range(1, p.n + 1):
+        extend(SignedChain((i,), (), ()))
+    return sorted(out, key=lambda ch: (len(ch.c), ch.c, ch.s))
+
+
+def fischer_relations_by_cases(roots) -> frozenset:
+    """Ĝ's relations on −n..n from a root set, one generation case per root shape."""
+    pairs: set[tuple[int, int]] = set()
+    for alpha in roots:
+        if len(alpha.entries) == 1:
+            ((i, s),) = alpha.entries
+            if s > 0:
+                pairs.update({(-i, 0), (0, i)})
+            else:
+                pairs.update({(i, 0), (0, -i)})
+        else:
+            (i, si), (j, sj) = alpha.entries
+            if (si, sj) == (-1, 1):  # −e_i + e_j
+                pairs.update({(i, j), (-j, -i)})
+            elif (si, sj) == (1, -1):  # e_i − e_j = −e_j + e_i
+                pairs.update({(j, i), (-i, -j)})
+            elif (si, sj) == (-1, -1):  # −e_i − e_j
+                pairs.update({(i, -j), (j, -i)})
+            else:  # e_i + e_j
+                pairs.update({(-i, j), (-j, i)})
+    return frozenset(_transitive_closure(pairs))

@@ -21,10 +21,12 @@ from signedposets.ehrhart import (
     hstar_from_counts,
 )
 from signedposets.geometry import cube_vertices, order_polytope
+from signedposets.gorenstein import ClassicalPoset, fischer_representation
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
 from signedposets.linalg import det
 from signedposets.posets import from_generators
 from signedposets.roots import parse_root
+from signedposets.verify import check_chain_polytope
 
 
 def mk(n, tokens):
@@ -55,6 +57,26 @@ def test_chains_fig1():
         ((2, 1), (-1,), ["+1+2"]),
         ((2, 1), (1,), ["-1+2"]),
     ]
+
+
+def test_chain_polytope_check_fails_without_one_fischer_relation(monkeypatch):
+    # The chains are read off Ĝ(P).  Without fig1's 1 < 2 (from −1+2) the
+    # chains (1, 2) and (2, 1) with S = (1,) are gone, so C_P loses the rows
+    # ±(x1 + x2) and takes in (1, 1) and (−1, −1), which are no antichains.
+    p = mk(2, ["-1+2", "+1+2"])
+    q = fischer_representation(p)
+    assert (1, 2) in q.lt and check_chain_polytope(p).passed
+    cut = ClassicalPoset(q.n, q.lt - {(1, 2)})
+    monkeypatch.setattr("signedposets.chains.fischer_representation", lambda _: cut)
+    chain_polytope.cache_clear()
+    try:
+        result = check_chain_polytope(p)
+        report = verify_antichain_characterization(p)
+    finally:
+        monkeypatch.undo()
+        chain_polytope.cache_clear()
+    assert not result.passed
+    assert report["only_points"] == [(-1, -1), (1, 1)] and report["only_antichains"] == []
 
 
 def test_chain_entries_distinct():

@@ -277,6 +277,14 @@ def test_enumerate_guard_exits_2(capsys):
     assert "input error" in err
 
 
+def test_a_group_too_large_to_build_exits_2(capsys, tmp_path):
+    path = tmp_path / "n10.poset"
+    path.write_text("n = 10\nroots: -1+2\n")
+    code, out, err = run(capsys, ["jh", str(path)])
+    assert code == 2 and out == ""
+    assert "input error" in err and "S_10^B" in err
+
+
 def test_verify_without_target_exits_2(capsys):
     code, _, err = run(capsys, ["verify"])
     assert code == 2

@@ -4,12 +4,13 @@ The fast paths are: `dot` in integers, the witness-first `row_is_necessary`,
 the half-open oracle's integer viewpoint, the fraction-free simplex, the
 depth-first lattice count, the triangulation check by owner table, the
 Ehrhart polynomial from integer h*, the minimal-representation check by
-integer certificates, and lattice membership by grid mask (`grid_mask`,
+integer certificates, lattice membership by grid mask (`grid_mask`,
 the triangulation by cell masks, `jordan_holder` by word masks and the
-redundancy witnesses by mask).  Each is compared with the route it replaced
-on the whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep
-and on fuzzed small LPs; the count, the triangulation, the Ehrhart
-polynomial, the minimal-representation check and `jordan_holder` also on
+redundancy witnesses by mask), the signed chains read off Ĝ(P), and Ĝ(P)
+and Ĝ(M) by one rule.  Each is compared with the route it replaced on the
+whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep and on
+fuzzed small LPs; the count, the triangulation, the Ehrhart polynomial, the
+minimal-representation check, `jordan_holder`, the chains and Ĝ also on
 seeded n = 4 posets).  The replaced kernels live in `reference_kernels.py`.
 The count solves no LP.
 """
@@ -24,8 +25,10 @@ from hypothesis import strategies as st
 
 import reference_kernels
 from reference_kernels import (
+    chains_by_steps,
     count_by_box_scan,
     ehrhart_by_interpolation,
+    fischer_relations_by_cases,
     grid_mask_by_contains,
     half_open_contains_at,
     jordan_holder_by_scan,
@@ -40,7 +43,7 @@ from reference_kernels import (
     triangulation_by_owner_scan,
 )
 from signedposets.catalog import enumerate_signed_posets
-from signedposets.chains import chain_polytope
+from signedposets.chains import chain_polytope, enumerate_chains
 from signedposets import ehrhart, geometry, linalg, verify
 from signedposets.ehrhart import (
     count_points,
@@ -64,7 +67,7 @@ from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows, rows_
 from signedposets.jordan import half_open_contains_generic, jordan_holder
 from signedposets.linalg import dot, solve_standard
 from signedposets.perms import enumerate_signed_permutations
-from signedposets.posets import from_generators
+from signedposets.posets import from_generators, minimal_representation
 from signedposets.roots import all_roots
 from signedposets.verify import (
     check_chain_polytope,
@@ -434,3 +437,16 @@ def test_interior_point_in_integers_equals_the_fraction_test_up_to_n3_and_at_n4(
             integer = system.contains(omega, t=p.n + 1, strict=True)
             assert integer == strictly_inside_by_fractions(p, omega) == (word in jh), p.tokens()
         assert check_interior_point(p).passed, p.tokens()
+
+
+def test_chains_read_off_fischer_equal_the_step_rule_up_to_n3_and_at_n4():
+    for p in CATALOG + _seeded_posets(4, 30, "count-oracle:4"):
+        walked = [chain.to_json_dict() for chain in enumerate_chains(p)]
+        assert walked == [chain.to_json_dict() for chain in chains_by_steps(p)], p.tokens()
+
+
+def test_fischer_by_one_rule_equals_the_five_cases_up_to_n3_and_at_n4():
+    for p in CATALOG + _seeded_posets(4, 30, "count-oracle:4"):
+        assert fischer_representation(p).lt == fischer_relations_by_cases(p.roots), p.tokens()
+        minimal = fischer_relations_by_cases(minimal_representation(p))
+        assert minimal_fischer_representation(p).lt == minimal, p.tokens()

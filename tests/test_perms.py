@@ -3,7 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from signedposets.catalog import enumerate_signed_posets
+from signedposets.errors import InputError
 from signedposets.perms import (
+    MAX_GROUP_N,
     SignedPermutation,
     act,
     act_poset,
@@ -41,6 +43,9 @@ def test_enumeration_guard():
         enumerate_signed_permutations(10)
     with pytest.raises(ValueError):
         enumerate_signed_permutations(0)
+    # Refused before anything is built, and blamed on the input.
+    with pytest.raises(InputError):
+        enumerate_signed_permutations(MAX_GROUP_N + 1)
 
 
 def test_word_validation():

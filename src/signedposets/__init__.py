@@ -33,7 +33,6 @@ from .errors import (
     InputError,
     InternalInconsistency,
     NegativeHstar,
-    OracleMismatch,
     ParseError,
     SignedPosetError,
     UnboundedSystem,
@@ -54,7 +53,6 @@ from .gorenstein import (
     fischer_representation,
     is_gorenstein,
     is_graded,
-    maximal_chains,
     minimal_fischer_representation,
 )
 from .halfspaces import Halfspace, HalfspaceSystem
@@ -88,7 +86,6 @@ __all__ = [
     "InputError",
     "InternalInconsistency",
     "NegativeHstar",
-    "OracleMismatch",
     "ParseError",
     "PosetDocument",
     "Root",
@@ -129,7 +126,6 @@ __all__ = [
     "is_unimodal",
     "iter_signed_posets",
     "jordan_holder",
-    "maximal_chains",
     "minimal_fischer_representation",
     "minimal_representation",
     "natdes",

@@ -65,7 +65,8 @@ def iter_signed_posets(n: int, force: bool = False) -> Iterator[SignedPoset]:
         raise InputError("ground size must be positive")
     if n >= 4 and not force:
         raise InputError(
-            f"the catalog at n={n} is large (60,201 posets at n=4); pass force=True"
+            f"the catalog at n={n} is large (60,201 posets at n=4); pass force=True "
+            "(--force on the command line)"
         )
     kernel = root_kernel(n)
     masks = sorted(_closed_masks(kernel), key=_walk_order(n, kernel))

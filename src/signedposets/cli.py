@@ -9,12 +9,12 @@ a whole catalog, with input ``{"n": n}``.  ``enumerate`` (JSON lines) and
 ``export-dot`` without --dot (raw DOT) print their own output and return no
 results; their summary carries the elapsed time.
 
-Exit codes, decided in `main` alone: 0 ok; 1 a verification field is false,
-or two oracles disagree; 2 bad input (an unreadable or non-UTF-8 file, a
-parse error, asymmetric generators, a bad argument, or n ≥ 4 without
---force); 3 anything else, an internal inconsistency, reported without a
-traceback; 141, silently, when the reader of stdout goes away (as a shell
-reports SIGPIPE).
+Exit codes, decided in `main` alone: 0 ok; 1 a verification field is false;
+2 bad input (an unreadable or non-UTF-8 file, a parse error, asymmetric
+generators, a bad argument, ``verify`` given both a file and --n, or n ≥ 4
+without --force); 3 anything else, an internal inconsistency, reported
+without a traceback; 141, silently, when the reader of stdout goes away (as
+a shell reports SIGPIPE).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .ehrhart import (
     poly_to_json,
     reciprocity_check,
 )
-from .errors import InputError, OracleMismatch
+from .errors import InputError
 from .geometry import (
     order_polytope,
     order_polytope_irredundant,
@@ -60,7 +60,7 @@ from .gorenstein import (
 )
 from .jordan import is_naturally_labeled, jh_representative, jordan_holder, natdes
 from .posetfile import parse_poset
-from .posets import minimal_representation, to_bidirected_graph, bidirected_dot
+from .posets import bidirected_dot, minimal_representation
 from .verify import (
     check_fischer_halfspaces,
     check_gorenstein_triple,
@@ -235,7 +235,7 @@ def cmd_compare(args, doc, p):
 
 
 def cmd_export_dot(args, doc, p):
-    dot = bidirected_dot(to_bidirected_graph(p))
+    dot = bidirected_dot(p)
     if not args.dot:
         print(dot, end="")
         return None, {}, ""
@@ -245,6 +245,8 @@ def cmd_export_dot(args, doc, p):
 
 def cmd_verify(args, doc, p):
     if p is not None:
+        if args.n is not None:
+            raise InputError("verify takes a poset file or --n, not both")
         report = verify_poset(p)
         lines = [f"  {'ok  ' if c.passed else 'FAIL'} {c.name}" for c in report.checks]
         lines.append(f"{sum(c.passed for c in report.checks)}/{len(report.checks)} checks passed")
@@ -381,12 +383,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except OracleMismatch as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        if exc.evidence:
-            print(json.dumps({"schema": 1, "error": "oracle-mismatch",
-                              "evidence": exc.evidence}, sort_keys=True))
-        return 1
     except Exception as exc:
         print(f"internal inconsistency: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

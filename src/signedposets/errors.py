@@ -2,10 +2,10 @@
 
 Everything raised on purpose by this package derives from SignedPosetError,
 so callers can catch one thing. InputError (with its subclasses ParseError
-and AsymmetryViolation) blames the input. InternalInconsistency and
-OracleMismatch are special: they mean a structural theorem this package
-relies on failed on a concrete input, which indicates a bug in our code (or
-a falsified theorem) and is never silently swallowed.
+and AsymmetryViolation) blames the input. InternalInconsistency is special:
+it means a structural theorem this package relies on failed on a concrete
+input, which indicates a bug in our code (or a falsified theorem) and is
+never silently swallowed.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ class CycleDetected(SignedPosetError):
 
 class InternalInconsistency(SignedPosetError):
     """A postcondition guaranteed by a proved statement failed; report, never ignore."""
-
-
-class OracleMismatch(SignedPosetError):
-    """Two independent computations of the same quantity disagree."""
-
-    def __init__(self, message: str, evidence: dict | None = None):
-        self.evidence = evidence or {}
-        super().__init__(message)
 
 
 class UnboundedSystem(SignedPosetError):

@@ -1,11 +1,13 @@
 """Fischer representation on [−n, n] and the Gorenstein characterization.
 
 A set of roots turns into a classical poset on the 2n+1 labels −n..n by one
-rule, transitively closed: u < v when c(v) − c(u) is one of the roots, for
-the label map c(0) = 0, c(±i) = ±e_i (`label_vector`).  Ĝ(P) comes from all
-of a signed poset P, Ĝ(M) from its minimal representation M.  O_P is
-Gorenstein exactly when Ĝ(M) is graded (checked on every n ≤ 4 poset); the
-library answer comes from chain lengths, and `verify.check_gorenstein_triple`
+rule, transitively closed by Warshall's algorithm: u < v when c(v) − c(u) is
+one of the roots, for the label map c(0) = 0, c(±i) = ±e_i (`label_vector`).
+Ĝ(P) comes from all of a signed poset P, Ĝ(M) from its minimal
+representation M.  O_P is Gorenstein exactly when Ĝ(M) is graded (checked on
+every n ≤ 4 poset), the signed analogue of Hibi's "O_P is Gorenstein iff P̂
+is pure".  `is_graded` decides it in one pass over the labels' heights,
+without listing the maximal chains, and `verify.check_gorenstein_triple`
 cross-checks it against both the palindromic-h* and the counting
 characterizations.  Ĝ(P), which has every relation P implies, is the one
 held to Fischer's central symmetry, and `chains` reads the signed chains
@@ -47,19 +49,6 @@ class ClassicalPoset:
         return {"n": self.n, "covers": [list(c) for c in self.covers()]}
 
 
-def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for u, v in list(closure):
-            for w, x in list(closure):
-                if v == w and (u, x) not in closure:
-                    closure.add((u, x))
-                    changed = True
-    return closure
-
-
 @per_poset
 def fischer_representation(p: SignedPoset) -> ClassicalPoset:
     """Ĝ(P): u < v for each root c(v) − c(u) of P, transitively closed,
@@ -92,18 +81,23 @@ def minimal_fischer_representation(p: SignedPoset) -> ClassicalPoset:
 
 
 def _fischer_closure(p: SignedPoset, roots) -> ClassicalPoset:
-    pairs: set[tuple[int, int]] = set()
+    """Warshall's closure: `above[u]` collects the labels above u, and every
+    u is routed through every w once; a label above itself is a cycle."""
+    labels = range(-p.n, p.n + 1)
+    above: dict[int, set[int]] = {u: set() for u in labels}
     for alpha in roots:
         # The entries s·e_i read as labels s·i; a unit root's second label is 0.
         a, b, *_ = [s * i for i, s in alpha.entries] + [0]
-        pairs.update({(-a, b), (-b, a)})
-    closure = _transitive_closure(pairs)
-    for u, v in closure:
-        if u == v or (v, u) in closure:
-            raise CycleDetected(
-                f"Fischer relations of {p!r} contain a cycle through {u} and {v}"
-            )
-    return ClassicalPoset(p.n, frozenset(closure))
+        above[-a].add(b)
+        above[-b].add(a)
+    for w in labels:
+        for u in labels:
+            if w in above[u]:
+                above[u] |= above[w]
+    for u in labels:
+        if u in above[u]:
+            raise CycleDetected(f"Fischer relations of {p!r} contain a cycle through {u}")
+    return ClassicalPoset(p.n, frozenset((u, v) for u in labels for v in above[u]))
 
 
 def check_fischer_symmetry(q: ClassicalPoset) -> bool:
@@ -124,51 +118,42 @@ class GradedReport:
     rank: Optional[dict[int, int]] = None
 
 
-def maximal_chains(q: ClassicalPoset) -> list[list[int]]:
-    """All maximal chains, as label sequences, via DFS over cover relations."""
-    covers = q.covers()
-    succ: dict[int, list[int]] = {v: [] for v in q.elements()}
-    pred_count: dict[int, int] = {v: 0 for v in q.elements()}
-    for u, v in covers:
-        succ[u].append(v)
-        pred_count[v] += 1
-    chains = []
-
-    def extend(chain: list[int]) -> None:
-        tail = succ[chain[-1]]
-        if not tail:
-            chains.append(chain)
-            return
-        for v in sorted(tail):
-            extend(chain + [v])
-
-    for v in sorted(q.elements()):
-        if pred_count[v] == 0:
-            extend([v])
-    return chains
-
-
 def is_graded(q: ClassicalPoset) -> GradedReport:
-    """All maximal chains the same even length?  Rank by longest path when graded.
+    """Do all maximal chains have one even length?  Ranks are the heights.
 
-    The singleton chain at the zero label is ignored: the zero label carries
-    no polytope coordinate, so when it is comparable to nothing its trivial
-    chain cannot obstruct the Gorenstein property.  (Isolated nonzero labels
-    still count — an untouched coordinate contributes a [−1, 1] factor whose
-    index is pinned at 1.)  Whenever the zero label is comparable to anything,
-    its chains pass through it symmetrically and the evenness condition is
+    The height of v is its longest chain from below, found in order of how
+    many labels lie below.  The maximal chains share one length exactly when
+    every cover raises the height by one and every maximal element has the
+    same height, which is then that length and the rank of each label.  The
+    zero label, when it is comparable to nothing, is left out of the maximal
+    elements: it carries no polytope coordinate, so its trivial chain cannot
+    obstruct the Gorenstein property.  (Isolated nonzero labels still count —
+    an untouched coordinate contributes a [−1, 1] factor whose index is
+    pinned at 1.)  Whenever the zero label is comparable to anything, its
+    chains pass through it symmetrically and the evenness condition is
     automatic, so the two readings agree there.
+
+    fig1's Ĝ(M) is the chain −2 < −1 < 2 beside −2 < 1 < 2, with 0 apart:
+
+    >>> from signedposets.posets import from_generators
+    >>> from signedposets.roots import parse_root
+    >>> fig1 = from_generators(2, [parse_root("-1+2"), parse_root("+1+2")])
+    >>> is_graded(minimal_fischer_representation(fig1))
+    GradedReport(graded=True, max_chain_length=2, rank={-2: 0, -1: 1, 0: 0, 1: 1, 2: 2})
     """
-    chains = maximal_chains(q)
-    lengths = sorted({len(c) - 1 for c in chains if c != [0]})
-    if len(lengths) > 1 or (lengths and lengths[0] % 2 != 0):
-        return GradedReport(False, lengths[-1])
-    length = lengths[0] if lengths else 0
-    rank: dict[int, int] = {}
-    for chain in chains:
-        for height, v in enumerate(chain):
-            rank[v] = max(rank.get(v, 0), height)
-    return GradedReport(True, length, rank)
+    below: dict[int, list[int]] = {v: [] for v in q.elements()}
+    for u, v in q.lt:
+        below[v].append(u)
+    height: dict[int, int] = {}
+    for v in sorted(below, key=lambda v: len(below[v])):
+        height[v] = max((height[u] + 1 for u in below[v]), default=0)
+    maximal = set(below) - {u for u, _ in q.lt}
+    tops = {height[v] for v in maximal if v or below[v]}  # an isolated 0 aside
+    length = max(height.values())
+    if (len(tops) > 1 or length % 2
+            or any(height[v] != height[u] + 1 for u, v in q.covers())):
+        return GradedReport(False, length)
+    return GradedReport(True, length, {v: height[v] for v in below})
 
 
 def gorenstein_index_from_grading(report: GradedReport) -> Optional[int]:

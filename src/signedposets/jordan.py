@@ -16,11 +16,11 @@ membership is a sign test on facet forms; Köppe–Verdoolaege, EJC 15, 2008).
 
 Which half-open cell holds a lattice point x depends on n and x alone: it is
 the window `owner(x)`, read off by sorting the coordinates by (|x_j|, ±j).
-`owner_table(n, t)` records the owner of every point of the cube dilate
-[−t, t]^n, and the mask of the points each window owns (bit k for the k-th
-point in `product` order), built on first use and kept per (n, t), and
-proves before it returns that the half-open cells of all 2^n·n! windows
-partition that cube, with the generic oracle in agreement up to t = 2.
+`owner_table(n, t)` records, for each window, the mask of the points of the
+cube dilate [−t, t]^n that it owns (bit k for the k-th point in `product`
+order), built on first use and kept per (n, t), and proves before it
+returns that the half-open cells of all 2^n·n! windows partition that cube,
+with the generic oracle in agreement up to t = 2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InternalInconsistency
 from .halfspaces import select
@@ -228,9 +228,8 @@ def owner(x: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OwnerTable:
-    """owner(x) for every x of the cube dilate [−t, t]^n, in `product` order,
-    and `cell_masks`: for each window that owns a point, the mask of its
-    points in that order.
+    """`cell_masks`: for each window that owns a point of the cube dilate
+    [−t, t]^n, the mask of its points in `product` order.
 
     `counterexample` is None once the half-open cells of all 2^n·n! windows
     are proved to partition the cube dilate; otherwise it is a pair
@@ -239,13 +238,8 @@ class OwnerTable:
 
     n: int
     t: int
-    owners: tuple[tuple[int, ...], ...]
     cell_masks: dict[tuple[int, ...], int]
     counterexample: tuple[tuple[int, ...], tuple[int, ...]] | None
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        """The cube dilate's lattice points, in the order of `owners`."""
-        return product(range(-self.t, self.t + 1), repeat=self.n)
 
 
 # The generic-viewpoint oracle, the slowest test of the proof, runs up to here.
@@ -267,11 +261,11 @@ def owner_table(n: int, t: int) -> OwnerTable:
     point has exactly one half-open cell, the one `owner` names.  A failure
     is returned, not raised, so that the cache keeps it.
     """
-    table = OwnerTable(n, t, (), {}, None)
+    table = OwnerTable(n, t, {}, None)
     cells = {sigma.images: cell(sigma) for sigma in enumerate_signed_permutations(n)}
     owner_of = {}
     owned = {}  # window -> the indices of its points
-    for k, x in enumerate(table.points()):
+    for k, x in enumerate(product(range(-t, t + 1), repeat=n)):
         w = owner_of[x] = owner(x)
         if not half_open_contains(cells[w], x, t):
             return replace(table, counterexample=(x, w))
@@ -288,7 +282,7 @@ def owner_table(n: int, t: int) -> OwnerTable:
             ):
                 return replace(table, counterexample=(x, w))
     masks = {w: sum(1 << k for k in ks) for w, ks in owned.items()}
-    return replace(table, owners=tuple(owner_of.values()), cell_masks=masks)
+    return replace(table, cell_masks=masks)
 
 
 def hstar_by_descents(p: SignedPoset) -> tuple[int, ...]:

@@ -248,59 +248,22 @@ def classical_relations(p: SignedPoset) -> set[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class BidirectedEdge:
-    """An edge of the bidirected-graph view: its root, endpoints, incidence signs."""
-
-    endpoints: tuple[int, ...]
-    signs: tuple[int, ...]
-    minimal: bool
-    root: Root
-
-
-@dataclass(frozen=True)
-class BidirectedGraph:
-    n: int
-    edges: tuple[BidirectedEdge, ...]
-
-
-def to_bidirected_graph(p: SignedPoset) -> BidirectedGraph:
-    """One edge per root: ±e_j is a loop on j, two-index roots join their support.
-
-    The incidence sign at a vertex is the root's coefficient sign there;
-    `minimal` flags membership in the minimal representation (non-minimal
-    edges render dotted in DOT output).
+def bidirected_dot(p: SignedPoset) -> str:
+    """P's bidirected graph in DOT: one edge per root, ±e_j a loop on j and a
+    two-index root an edge on its support.  The root's coefficient signs
+    label the ends, and roots outside the minimal representation are dotted.
     """
     minimal = minimal_representation(p)
-    edges = tuple(
-        BidirectedEdge(
-            endpoints=alpha.support,
-            signs=tuple(s for _, s in alpha.entries),
-            minimal=alpha in minimal,
-            root=alpha,
-        )
-        for alpha in p.sorted_roots()
-    )
-    return BidirectedGraph(p.n, edges)
-
-
-def bidirected_dot(graph: BidirectedGraph) -> str:
-    """Render the bidirected graph in DOT; incidence signs become head/tail labels."""
     lines = ["graph signed_poset {", "  node [shape=circle];"]
-    for v in range(1, graph.n + 1):
-        lines.append(f"  {v};")
-    for e in graph.edges:
-        style = "solid" if e.minimal else "dotted"
-        if len(e.endpoints) == 1:
-            (v,) = e.endpoints
-            (s,) = e.signs
-            label = "+" if s > 0 else "-"
-            lines.append(
-                f'  {v} -- {v} [style={style}, label="{label}"];'
-            )
+    lines += [f"  {v};" for v in range(1, p.n + 1)]
+    for alpha in p.sorted_roots():
+        style = "solid" if alpha in minimal else "dotted"
+        ends = [(i, "+" if s > 0 else "-") for i, s in alpha.entries]
+        if len(ends) == 1:
+            ((v, s),) = ends
+            lines.append(f'  {v} -- {v} [style={style}, label="{s}"];')
         else:
-            u, v = e.endpoints
-            su, sv = ("+" if s > 0 else "-" for s in e.signs)
+            (u, su), (v, sv) = ends
             lines.append(
                 f'  {u} -- {v} [style={style}, taillabel="{su}", headlabel="{sv}"];'
             )

@@ -26,7 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .catalog import iter_signed_posets
@@ -66,12 +66,13 @@ from .gorenstein import (
     is_graded,
     minimal_fischer_representation,
 )
-from .halfspaces import Halfspace, HalfspaceSystem, cube_rows, dedupe_rows
+from .halfspaces import Halfspace, HalfspaceSystem, cube_rows, dedupe_rows, grid_points
 from .jordan import (
     cell_determinant,
     hstar_by_descents,
     jordan_holder,
     naturalize,
+    owner,
     owner_table,
 )
 from .perms import act_poset, enumerate_signed_permutations
@@ -397,10 +398,11 @@ def check_triangulation(p: SignedPoset) -> CheckResult:
             cells |= table.cell_masks.get(w, 0)
         if differ := inside ^ cells:
             k = (differ & -differ).bit_length() - 1
+            x = grid_points(p.n, t)[k]
             bad = {
                 "t": t,
-                "x": list(next(islice(table.points(), k, None))),
-                "owner": list(table.owners[k]),
+                "x": list(x),
+                "owner": list(owner(x)),
                 "in_polytope": bool(inside >> k & 1),
             }
             break

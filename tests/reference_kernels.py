@@ -28,7 +28,10 @@ integers: ω/(n+1) in `Fraction`s against the rows of O_P.
 Ĝ(P): at each step the witness root is built from the step and tested for
 membership in P, and so is its sum with the previous witness.
 `fischer_relations_by_cases` is Ĝ's relation set before the one rule: five
-generation cases, one per root shape, transitively closed.
+generation cases, one per root shape, closed by `_transitive_closure`, the
+pair fixpoint that Ĝ was closed by before Warshall's closure.
+`graded_by_chains` is gradedness before the height pass: every maximal chain
+listed by `maximal_chains`, a depth-first walk over the covers.
 """
 
 from fractions import Fraction
@@ -39,7 +42,7 @@ from signedposets import verify
 from signedposets.chains import SignedChain
 from signedposets.ehrhart import count_points, integer_box
 from signedposets.geometry import _lp_row_is_necessary, order_polytope
-from signedposets.gorenstein import _transitive_closure
+from signedposets.gorenstein import ClassicalPoset, GradedReport
 from signedposets.halfspaces import grid_points
 from signedposets.jordan import (
     cell,
@@ -48,6 +51,7 @@ from signedposets.jordan import (
     half_open_contains_generic,
     jordan_holder,
     naturalize,
+    owner,
     owner_table,
 )
 from signedposets.linalg import dot
@@ -339,7 +343,8 @@ def triangulation_by_owner_scan(p) -> CheckResult:
             x, window = table.counterexample
             bad = {"t": t, "x": list(x), "window": list(window)}
             break
-        for x, w in zip(table.points(), table.owners):
+        for x in grid_points(p.n, t):
+            w = owner(x)
             inside = system.contains(x, t)
             if inside != (w in owned):
                 bad = {"t": t, "x": list(x), "owner": list(w), "in_polytope": inside}
@@ -466,3 +471,58 @@ def fischer_relations_by_cases(roots) -> frozenset:
             else:  # e_i + e_j
                 pairs.update({(-i, j), (-j, i)})
     return frozenset(_transitive_closure(pairs))
+
+
+def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The pair fixpoint: rescan the relation until no pair (u, v), (v, x)
+    adds a new (u, x)."""
+    closure = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in list(closure):
+            for w, x in list(closure):
+                if v == w and (u, x) not in closure:
+                    closure.add((u, x))
+                    changed = True
+    return closure
+
+
+def maximal_chains(q: ClassicalPoset) -> list[list[int]]:
+    """All maximal chains, as label sequences, via DFS over cover relations."""
+    covers = q.covers()
+    succ: dict[int, list[int]] = {v: [] for v in q.elements()}
+    pred_count: dict[int, int] = {v: 0 for v in q.elements()}
+    for u, v in covers:
+        succ[u].append(v)
+        pred_count[v] += 1
+    chains = []
+
+    def extend(chain: list[int]) -> None:
+        tail = succ[chain[-1]]
+        if not tail:
+            chains.append(chain)
+            return
+        for v in sorted(tail):
+            extend(chain + [v])
+
+    for v in sorted(q.elements()):
+        if pred_count[v] == 0:
+            extend([v])
+    return chains
+
+
+def graded_by_chains(q: ClassicalPoset) -> GradedReport:
+    """`is_graded` by listing the maximal chains: graded when all but the
+    isolated zero label's have one even length, ranked by the longest
+    position of each label in them."""
+    chains = maximal_chains(q)
+    lengths = sorted({len(c) - 1 for c in chains if c != [0]})
+    if len(lengths) > 1 or (lengths and lengths[0] % 2 != 0):
+        return GradedReport(False, lengths[-1])
+    length = lengths[0] if lengths else 0
+    rank: dict[int, int] = {}
+    for chain in chains:
+        for height, v in enumerate(chain):
+            rank[v] = max(rank.get(v, 0), height)
+    return GradedReport(True, length, rank)

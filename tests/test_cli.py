@@ -274,7 +274,7 @@ def test_empty_path_exits_2(capsys):
 def test_enumerate_guard_exits_2(capsys):
     code, _, err = run(capsys, ["enumerate", "--n", "4"])
     assert code == 2
-    assert "input error" in err
+    assert "input error" in err and "--force" in err
 
 
 def test_a_group_too_large_to_build_exits_2(capsys, tmp_path):
@@ -283,6 +283,12 @@ def test_a_group_too_large_to_build_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["jh", str(path)])
     assert code == 2 and out == ""
     assert "input error" in err and "S_10^B" in err
+
+
+def test_verify_with_a_file_and_n_exits_2(capsys, fig1):
+    code, out, err = run(capsys, ["verify", fig1, "--n", "3"])
+    assert code == 2 and out == ""
+    assert "input error" in err and "not both" in err
 
 
 def test_verify_without_target_exits_2(capsys):

@@ -2,11 +2,11 @@ import doctest
 
 import pytest
 
-from signedposets import ehrhart, halfspaces, jordan, linalg, perms, posets, roots
+from signedposets import ehrhart, gorenstein, halfspaces, jordan, linalg, perms, posets, roots
 
 
 @pytest.mark.parametrize(
-    "module", [roots, posets, perms, linalg, jordan, ehrhart, halfspaces]
+    "module", [roots, posets, perms, linalg, jordan, ehrhart, halfspaces, gorenstein]
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -6,12 +6,14 @@ depth-first lattice count, the triangulation check by owner table, the
 Ehrhart polynomial from integer h*, the minimal-representation check by
 integer certificates, lattice membership by grid mask (`grid_mask`,
 the triangulation by cell masks, `jordan_holder` by word masks and the
-redundancy witnesses by mask), the signed chains read off Ĝ(P), and Ĝ(P)
-and Ĝ(M) by one rule.  Each is compared with the route it replaced on the
+redundancy witnesses by mask), the signed chains read off Ĝ(P), Ĝ(P)
+and Ĝ(M) by one rule and Warshall's closure, and gradedness by one height
+pass.  Each is compared with the route it replaced on the
 whole n ≤ 3 catalog (the simplex on the LPs of a seeded n = 3 sweep and on
 fuzzed small LPs; the count, the triangulation, the Ehrhart polynomial, the
-minimal-representation check, `jordan_holder`, the chains and Ĝ also on
-seeded n = 4 posets).  The replaced kernels live in `reference_kernels.py`.
+minimal-representation check, `jordan_holder`, the chains, Ĝ and its
+gradedness also on seeded n = 4 posets, and gradedness on seeded random
+classical posets too).  The replaced kernels live in `reference_kernels.py`.
 The count solves no LP.
 """
 
@@ -28,7 +30,9 @@ from reference_kernels import (
     chains_by_steps,
     count_by_box_scan,
     ehrhart_by_interpolation,
+    _transitive_closure,
     fischer_relations_by_cases,
+    graded_by_chains,
     grid_mask_by_contains,
     half_open_contains_at,
     jordan_holder_by_scan,
@@ -59,8 +63,10 @@ from signedposets.geometry import (
     row_is_necessary,
 )
 from signedposets.gorenstein import (
+    ClassicalPoset,
     fischer_halfspaces,
     fischer_representation,
+    is_graded,
     minimal_fischer_representation,
 )
 from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows, rows_from_key
@@ -450,3 +456,25 @@ def test_fischer_by_one_rule_equals_the_five_cases_up_to_n3_and_at_n4():
         assert fischer_representation(p).lt == fischer_relations_by_cases(p.roots), p.tokens()
         minimal = fischer_relations_by_cases(minimal_representation(p))
         assert minimal_fischer_representation(p).lt == minimal, p.tokens()
+
+
+def test_gradedness_by_heights_equals_the_chains_up_to_n3_and_at_n4():
+    for p in CATALOG + _seeded_posets(4, 30, "count-oracle:4"):
+        for q in (fischer_representation(p), minimal_fischer_representation(p)):
+            assert is_graded(q) == graded_by_chains(q), p.tokens()
+
+
+def test_gradedness_by_heights_equals_the_chains_on_random_classical_posets():
+    # Orders on 2n+1 ≤ 9 labels with no symmetry: shapes that Ĝ never has.
+    rng = random.Random("graded-by-heights")
+    verdicts = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(300):
+            order = rng.sample(range(-n, n + 1), 2 * n + 1)
+            density = rng.random()
+            pairs = {(u, v) for k, u in enumerate(order) for v in order[k + 1:]
+                     if rng.random() < density}
+            q = ClassicalPoset(n, frozenset(_transitive_closure(pairs)))
+            assert is_graded(q) == graded_by_chains(q), sorted(q.lt)
+            verdicts.add(is_graded(q).graded)
+    assert verdicts == {True, False}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_kernels import graded_by_chains, maximal_chains
 from signedposets.catalog import iter_signed_posets
 from signedposets.ehrhart import count_points, hstar_from_counts, integer_box, is_palindromic
 from signedposets.errors import CycleDetected
@@ -16,7 +17,6 @@ from signedposets.gorenstein import (
     hasse_dot,
     is_gorenstein,
     is_graded,
-    maximal_chains,
     minimal_fischer_representation,
 )
 from signedposets.posets import SignedPoset, from_generators, minimal_representation
@@ -120,6 +120,17 @@ def test_odd_chain_length_not_graded():
     q = fischer_representation(mk(2, ["+1-2"]))
     assert maximal_chains(q) == [[-1, -2], [0], [2, 1]]
     assert not is_graded(q).graded
+
+
+def test_a_cover_that_skips_a_height_is_not_graded():
+    # x < y < z and w < z: the one maximal element has the even height 2,
+    # but the cover w < z climbs two heights, so the chains are 2 and 1 long.
+    x, y, z, w = -2, -1, 1, 2
+    q = ClassicalPoset(2, frozenset({(x, y), (y, z), (x, z), (w, z)}))
+    assert maximal_chains(q) == [[-2, -1, 1], [0], [2, 1]]
+    report = is_graded(q)
+    assert (report.graded, report.max_chain_length, report.rank) == (False, 2, None)
+    assert report == graded_by_chains(q)
 
 
 def test_cycle_detected_on_unclosed_input():

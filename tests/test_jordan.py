@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from signedposets.catalog import enumerate_signed_posets
 from signedposets.ehrhart import hstar_from_counts
 from signedposets.geometry import order_polytope
+from signedposets.halfspaces import grid_points
 from signedposets.jordan import (
     cell,
     cell_determinant,
@@ -110,19 +111,20 @@ def test_half_open_matches_generic_oracle(sigma, t):
 
 def test_half_open_cells_partition_the_cube():
     # the 2^n n! half-open cells tile [-t, t]^n with no overlaps; the one
-    # cell that holds x is the one owner(x) names, as the table records
+    # cell that holds x is the one owner(x) names, and the table's cell masks
+    # hold each grid point once, in its owner's mask
     for n in (1, 2, 3):
         group = enumerate_signed_permutations(n)
         cells = [cell(sigma) for sigma in group]
         for t in (1, 2, 3):
             table = owner_table(n, t)
             assert table.counterexample is None
-            points = list(product(range(-t, t + 1), repeat=n))
-            assert list(table.points()) == points
-            assert len(table.owners) == len(points)
-            for x, w in zip(points, table.owners):
+            points = grid_points(n, t)
+            assert sum(bin(m).count("1") for m in table.cell_masks.values()) == len(points)
+            for k, x in enumerate(points):
                 owners = [c.sigma.images for c in cells if half_open_contains(c, x, t)]
-                assert owners == [owner(x)] == [w], (x, owners)
+                assert owners == [owner(x)], (x, owners)
+                assert table.cell_masks[owner(x)] >> k & 1, x
 
 
 def test_owner_table_is_built_once_per_rank_and_dilate():

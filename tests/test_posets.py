@@ -17,6 +17,7 @@ from signedposets.errors import AsymmetryViolation, CycleDetected
 from signedposets.geometry import homogenized_poset
 from signedposets.posets import (
     SignedPoset,
+    bidirected_dot,
     classical_relations,
     close_mask,
     cone_contains,
@@ -25,7 +26,6 @@ from signedposets.posets import (
     minimal_representation,
     plc,
     root_kernel,
-    to_bidirected_graph,
 )
 from signedposets.roots import Root, all_roots, antipodal_pairs, parse_root
 
@@ -183,12 +183,10 @@ def test_embedding_rejects_cycles(relations):
 
 def test_bidirected_graph_shape():
     p = mk(2, ["-1+2", "+1+2"])
-    graph = to_bidirected_graph(p)
-    assert graph.n == 2
-    assert len(graph.edges) == len(p.roots)
-    # fig1: +2 = ½(−1+2) + ½(+1+2) is the one root outside M
-    minimal = {e.root.token() for e in graph.edges if e.minimal}
-    assert minimal == {"-1+2", "+1+2"}
+    edges = [line for line in bidirected_dot(p).splitlines() if " -- " in line]
+    assert len(edges) == len(p.roots)
+    # fig1: +2 = ½(−1+2) + ½(+1+2) is the one root outside M, a dotted loop
+    assert [e for e in edges if "dotted" in e] == ['  2 -- 2 [style=dotted, label="+"];']
     assert "+2" in p.tokens()
 
 

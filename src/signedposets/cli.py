@@ -9,6 +9,13 @@ a whole catalog, with input ``{"n": n}``.  ``enumerate`` (JSON lines) and
 ``export-dot`` without --dot (raw DOT) print their own output and return no
 results; their summary carries the elapsed time.
 
+A process loads only the modules its command uses: each ``cmd_x``, and
+`run`, imports what it calls in its own body, and the module level imports
+nothing of the package but `errors`.  So ``validate``, ``closure``,
+``minrep`` and ``export-dot`` load `posetfile` and `posets` and what those
+import; ``hstar``, ``gorenstein``, ``fischer`` and ``verify`` load the whole
+package through `verify`, where their cross-checks live.
+
 Exit codes, decided in `main` alone: 0 ok; 1 a verification field is false;
 2 bad input (an unreadable or non-UTF-8 file, a parse error, asymmetric
 generators, a bad argument, ``verify`` given both a file and --n, or n ≥ 4
@@ -26,50 +33,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .catalog import enumerate_signed_posets, iter_signed_posets
-from .chains import (
-    antichains,
-    chain_polytope,
-    compare_order_chain,
-    enumerate_chains,
-    is_reflexive,
-    verify_antichain_characterization,
-)
-from .ehrhart import (
-    count_points,
-    ehrhart_polynomial,
-    hstar_from_counts,
-    poly_to_json,
-    reciprocity_check,
-)
 from .errors import InputError
-from .geometry import (
-    order_polytope,
-    order_polytope_irredundant,
-    pos_neg_max,
-    row_is_necessary,
-    signed_filters,
-    vertices,
-)
-from .gorenstein import (
-    check_fischer_symmetry,
-    fischer_representation,
-    hasse_dot,
-    is_graded,
-    minimal_fischer_representation,
-)
-from .jordan import is_naturally_labeled, jh_representative, jordan_holder, natdes
-from .posetfile import parse_poset
-from .posets import bidirected_dot, minimal_representation
-from .verify import (
-    check_fischer_halfspaces,
-    check_gorenstein_triple,
-    check_hstar_oracles,
-    closed_by_filters,
-    derives,
-    verify_catalog,
-    verify_poset,
-)
 
 
 def _write(path: str, text: str) -> None:
@@ -78,6 +42,8 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_validate(args, doc, p):
+    from .posets import closed_by_filters
+
     results = {
         "n": p.n,
         "generators": [a.token() for a in doc.generators],
@@ -96,6 +62,8 @@ def cmd_closure(args, doc, p):
 
 
 def cmd_minrep(args, doc, p):
+    from .posets import derives, minimal_representation
+
     m = minimal_representation(p)
     results = {"minimal": sorted(a.token() for a in m), "size": len(m)}
     return (results, {"regenerates": derives(m, p)},
@@ -103,6 +71,8 @@ def cmd_minrep(args, doc, p):
 
 
 def cmd_hdesc(args, doc, p):
+    from .geometry import order_polytope, order_polytope_irredundant, pos_neg_max, row_is_necessary
+
     full = order_polytope(p)
     irr = order_polytope_irredundant(p)
     pmax, nmax = pos_neg_max(p)
@@ -118,6 +88,9 @@ def cmd_hdesc(args, doc, p):
 
 
 def cmd_filters(args, doc, p):
+    from .ehrhart import count_points
+    from .geometry import order_polytope, signed_filters
+
     f = signed_filters(p)
     results = {"filters": [list(x) for x in f], "count": len(f)}
     return (results, {"matches_lattice_count": len(f) == count_points(order_polytope(p), 1)},
@@ -125,6 +98,8 @@ def cmd_filters(args, doc, p):
 
 
 def cmd_vertices(args, doc, p):
+    from .geometry import signed_filters, vertices
+
     v = vertices(p)
     filter_set = set(signed_filters(p))
     results = {"vertices": [list(x) for x in v], "count": len(v)}
@@ -133,6 +108,8 @@ def cmd_vertices(args, doc, p):
 
 
 def cmd_jh(args, doc, p):
+    from .jordan import is_naturally_labeled, jh_representative, jordan_holder, natdes
+
     jh = jordan_holder(p)
     results = {
         "jh": [list(w.images) for w in jh],
@@ -146,6 +123,8 @@ def cmd_jh(args, doc, p):
 
 
 def cmd_hstar(args, doc, p):
+    from .verify import check_hstar_oracles
+
     check = check_hstar_oracles(p)
     results = {
         "hstar": check.detail["by_descents"],
@@ -158,6 +137,11 @@ def cmd_hstar(args, doc, p):
 
 
 def cmd_ehrhart(args, doc, p):
+    from .ehrhart import (
+        count_points, ehrhart_polynomial, hstar_from_counts, poly_to_json, reciprocity_check,
+    )
+    from .geometry import order_polytope
+
     system = order_polytope(p)
     ehr = ehrhart_polynomial(system)
     results = {
@@ -173,6 +157,10 @@ def cmd_ehrhart(args, doc, p):
 
 
 def cmd_gorenstein(args, doc, p):
+    from .ehrhart import hstar_from_counts
+    from .geometry import order_polytope
+    from .verify import check_gorenstein_triple
+
     check = check_gorenstein_triple(p)
     results = dict(check.detail)
     results["gorenstein"] = bool(check.detail["graded"])
@@ -182,6 +170,12 @@ def cmd_gorenstein(args, doc, p):
 
 
 def cmd_fischer(args, doc, p):
+    from .gorenstein import (
+        check_fischer_symmetry, fischer_representation, hasse_dot, is_graded,
+        minimal_fischer_representation,
+    )
+    from .verify import check_fischer_halfspaces
+
     q = minimal_fischer_representation(p)
     report = is_graded(q)
     results = {
@@ -201,6 +195,9 @@ def cmd_fischer(args, doc, p):
 
 
 def cmd_chain_polytope(args, doc, p):
+    from .chains import chain_polytope, enumerate_chains, is_reflexive
+    from .ehrhart import ehrhart_polynomial, poly_to_json
+
     cp = chain_polytope(p)
     chains = enumerate_chains(p)
     results = {
@@ -217,6 +214,8 @@ def cmd_chain_polytope(args, doc, p):
 
 
 def cmd_antichains(args, doc, p):
+    from .chains import antichains, verify_antichain_characterization
+
     anti = antichains(p)
     characterization = verify_antichain_characterization(p)
     results = {
@@ -229,12 +228,16 @@ def cmd_antichains(args, doc, p):
 
 
 def cmd_compare(args, doc, p):
+    from .chains import compare_order_chain
+
     results = compare_order_chain(p)
     return (results, {},
             "O_P vs C_P: Ehrhart " + ("equal" if results["ehrhart_equal"] else "different"))
 
 
 def cmd_export_dot(args, doc, p):
+    from .posets import bidirected_dot
+
     dot = bidirected_dot(p)
     if not args.dot:
         print(dot, end="")
@@ -244,6 +247,8 @@ def cmd_export_dot(args, doc, p):
 
 
 def cmd_verify(args, doc, p):
+    from .verify import verify_catalog, verify_poset
+
     if p is not None:
         if args.n is not None:
             raise InputError("verify takes a poset file or --n, not both")
@@ -261,6 +266,8 @@ def cmd_verify(args, doc, p):
 
 
 def cmd_enumerate(args, doc, p):
+    from .catalog import enumerate_signed_posets, iter_signed_posets
+
     if args.up_to_iso:
         posets = enumerate_signed_posets(args.n, up_to_iso=True, force=args.force)
     else:
@@ -337,6 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> int:
     """Load the poset file if one is named, run the command, print its report."""
+    from .posetfile import parse_poset
+
     started = time.monotonic()
     doc = p = None
     if getattr(args, "posetfile", None) is not None:

@@ -7,20 +7,21 @@ put that root in P.  Between two roots of B_n that rule yields α + β,
 fixpoint over one integer table per n, {α+β, (α+β)/2} ∩ B_n for every pair,
 is the rule's fixpoint (`close_mask`).  It lies inside plc(S) = cone(S) ∩ B_n,
 so `plc` raises AsymmetryViolation on a ±α pair in it; an asymmetric one is
-a signed poset in Reiner's sense and equals plc(S).  `verify` proves that
-with integer certificates, and the tests pin `plc` to the LP definition,
-`cone_contains`.
+a signed poset in Reiner's sense and equals plc(S).  `closed_by_filters`
+and `derives` are the integer certificates by which `verify` proves that,
+and the tests pin `plc` to the LP definition, `cone_contains`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .errors import AsymmetryViolation, CycleDetected
 from .linalg import nonneg_combination
-from .roots import Root, all_roots
+from .roots import Root, all_roots, inner_product
 
 
 class RootKernel(NamedTuple):
@@ -208,6 +209,47 @@ def minimal_representation(p: SignedPoset) -> frozenset[Root]:
     return kernel.members(
         sum(1 << k for k in _bits(full) if not close_mask(kernel, full ^ 1 << k) >> k & 1)
     )
+
+
+@lru_cache(maxsize=None)
+def _negative_masks(n: int) -> tuple[int, ...]:
+    """For each x ∈ {−1, 0, 1}ⁿ, the mask of the roots α with ⟨α, x⟩ < 0."""
+    roots = root_kernel(n).roots
+    return tuple(
+        sum(1 << k for k, alpha in enumerate(roots) if inner_product(alpha, x) < 0)
+        for x in product((-1, 0, 1), repeat=n)
+    )
+
+
+def _separated(mask: int, n: int) -> int:
+    """The mask of the roots negative at some x ∈ {−1, 0, 1}ⁿ where the roots
+    of `mask` are nonnegative: none of them is in their cone (Farkas' lemma)."""
+    out = 0
+    for negative in _negative_masks(n):
+        if not negative & mask:
+            out |= negative
+    return out
+
+
+def closed_by_filters(p: SignedPoset) -> bool:
+    """Whether each root outside P is negative at a signed filter of P."""
+    mask = root_kernel(p.n).mask(p.roots)
+    return _separated(mask, p.n) | mask == (1 << 2 * p.n**2) - 1  # 2n² roots
+
+
+def derives(m: frozenset, p: SignedPoset) -> bool:
+    """Whether M ⊆ P reaches all of P, each new root γ as α + β or (α + β)/2
+    of roots α, β reached before it (β = γ − α or 2γ − α), so P ⊆ cone(M).
+    On integer vectors, not the kernel's table."""
+    reached = {alpha.vector(p.n) for alpha in m}
+    todo = {alpha.vector(p.n) for alpha in p.roots} - reached
+    while new := {
+        g for g in todo for a in reached for k in (1, 2)
+        if tuple(k * x - y for x, y in zip(g, a)) in reached
+    }:
+        reached |= new
+        todo -= new
+    return not todo and m <= p.roots
 
 
 def embed_classical_poset(

@@ -26,7 +26,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .catalog import iter_signed_posets
@@ -76,8 +75,14 @@ from .jordan import (
     owner_table,
 )
 from .perms import act_poset, enumerate_signed_permutations
-from .posets import SignedPoset, minimal_representation, root_kernel
-from .roots import inner_product
+from .posets import (
+    SignedPoset,
+    _separated,
+    closed_by_filters,
+    derives,
+    minimal_representation,
+    root_kernel,
+)
 
 
 # The checks that count dilates look at t = 1..T_MAX; the triangulation looks
@@ -181,47 +186,6 @@ def pad_equal(a, b) -> bool:
     """Coefficientwise equality of two h*-tuples up to trailing zeros."""
     width = max(len(a), len(b))
     return tuple(a) + (0,) * (width - len(a)) == tuple(b) + (0,) * (width - len(b))
-
-
-@lru_cache(maxsize=None)
-def _negative_masks(n: int) -> tuple[int, ...]:
-    """For each x ∈ {−1, 0, 1}ⁿ, the mask of the roots α with ⟨α, x⟩ < 0."""
-    roots = root_kernel(n).roots
-    return tuple(
-        sum(1 << k for k, alpha in enumerate(roots) if inner_product(alpha, x) < 0)
-        for x in product((-1, 0, 1), repeat=n)
-    )
-
-
-def _separated(mask: int, n: int) -> int:
-    """The mask of the roots negative at some x ∈ {−1, 0, 1}ⁿ where the roots
-    of `mask` are nonnegative: none of them is in their cone (Farkas' lemma)."""
-    out = 0
-    for negative in _negative_masks(n):
-        if not negative & mask:
-            out |= negative
-    return out
-
-
-def closed_by_filters(p: SignedPoset) -> bool:
-    """Whether each root outside P is negative at a signed filter of P."""
-    mask = root_kernel(p.n).mask(p.roots)
-    return _separated(mask, p.n) | mask == (1 << 2 * p.n**2) - 1  # 2n² roots
-
-
-def derives(m: frozenset, p: SignedPoset) -> bool:
-    """Whether M ⊆ P reaches all of P, each new root γ as α + β or (α + β)/2
-    of roots α, β reached before it (β = γ − α or 2γ − α), so P ⊆ cone(M).
-    On integer vectors, not the kernel's table."""
-    reached = {alpha.vector(p.n) for alpha in m}
-    todo = {alpha.vector(p.n) for alpha in p.roots} - reached
-    while new := {
-        g for g in todo for a in reached for k in (1, 2)
-        if tuple(k * x - y for x, y in zip(g, a)) in reached
-    }:
-        reached |= new
-        todo -= new
-    return not todo and m <= p.roots
 
 
 def check_minimal_representation(p: SignedPoset) -> CheckResult:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signedposets
-from signedposets import cli, posetfile
+from signedposets import cli, jordan, posetfile, posets, verify
 from signedposets.errors import InternalInconsistency, ParseError
 from signedposets.posetfile import PosetDocument, parse_poset
 from signedposets.posets import SignedPoset
@@ -189,8 +189,6 @@ def test_verify_single_file(capsys, fig1):
 
 
 def test_check_that_raises_fails_verify(capsys, fig1, monkeypatch):
-    from signedposets import verify
-
     def broken(p):
         raise ValueError("viewpoint is not generic")
 
@@ -301,7 +299,7 @@ def test_failed_verification_exits_1(capsys, fig1, monkeypatch):
     def disagreeing(p):
         return CheckResult("hstar-oracles", False, {"by_descents": [1, 1], "by_counts": [1, 2]})
 
-    monkeypatch.setattr(cli, "check_hstar_oracles", disagreeing)
+    monkeypatch.setattr(verify, "check_hstar_oracles", disagreeing)
     code, out, err = run(capsys, ["hstar", fig1])
     assert code == 1
     assert report_of(out)["verification"] == {"oracles_agree": False}
@@ -311,7 +309,7 @@ def test_failed_verification_exits_1(capsys, fig1, monkeypatch):
 def test_unclosed_poset_fails_validate_and_a_wrong_m_fails_minrep(capsys, fig1, monkeypatch):
     # The certificates decide the fields: P without +2 is not closed, and
     # {−1+2} does not regenerate fig1.
-    monkeypatch.setattr(cli, "minimal_representation", lambda p: {parse_root("-1+2")})
+    monkeypatch.setattr(posets, "minimal_representation", lambda p: {parse_root("-1+2")})
     code, out, _ = run(capsys, ["minrep", fig1])
     assert code == 1
     assert report_of(out)["verification"] == {"regenerates": False}
@@ -325,7 +323,7 @@ def test_internal_inconsistency_exits_3(capsys, fig1, monkeypatch):
     def boom(p):
         raise InternalInconsistency("triangulation lost a cell")
 
-    monkeypatch.setattr(cli, "verify_poset", boom)
+    monkeypatch.setattr(verify, "verify_poset", boom)
     code, _, err = run(capsys, ["verify", fig1])
     assert code == 3
     assert "internal inconsistency" in err
@@ -336,7 +334,7 @@ def test_unexpected_exception_in_a_command_exits_3(capsys, fig1, monkeypatch, er
     def broken(p):
         raise error
 
-    monkeypatch.setattr(cli, "jordan_holder", broken)
+    monkeypatch.setattr(jordan, "jordan_holder", broken)
     code, out, err = run(capsys, ["jh", fig1])
     assert code == 3 and out == ""
     assert err.startswith(f"internal inconsistency: {type(error).__name__}: ")
@@ -409,6 +407,32 @@ def _cli_env():
     env = dict(os.environ, PYTHONPATH=str(Path(signedposets.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def _loaded(argv, cwd):
+    """The package modules that `python -m signedposets.cli *argv` imports."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "signedposets.cli", *argv],
+        capture_output=True, text=True, env=_cli_env(), cwd=cwd, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+WHOLE_PACKAGE = {f"signedposets.{m}" for m in ("verify", "chains", "jordan", "ehrhart", "catalog")}
+
+
+@pytest.mark.parametrize("command", ["validate", "closure", "minrep", "export-dot"])
+def test_light_commands_load_no_cross_checks(tmp_path, fig1, command):
+    loaded = _loaded([command, fig1, *(["--dot", "out.dot"] if command == "export-dot" else [])],
+                     tmp_path)
+    assert "signedposets.posets" in loaded
+    assert not loaded & WHOLE_PACKAGE
+
+
+def test_verify_loads_the_cross_checks(tmp_path, fig1):
+    assert WHOLE_PACKAGE <= _loaded(["verify", fig1], tmp_path)
 
 
 def test_closed_stdout_exits_141_without_an_error(tmp_path):

@@ -42,8 +42,8 @@ OTHER_CACHES = {
     "jordan.cell_determinant",
     "jordan.owner_table",
     "perms._group",
+    "posets._negative_masks",
     "posets.root_kernel",
-    "verify._negative_masks",
     "verify._shared",
     "verify._shared_value",
 }

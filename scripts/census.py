@@ -3,10 +3,12 @@
 
 Enumerates every signed poset on [n], tallies sizes, isomorphism classes,
 natural labelings, and Gorenstein order polytopes, and prints one table per
-rank.  n = 3 takes about a second.
+rank.  n ≤ 3 takes a fraction of a second, and n = 4 (with --force) about
+10 s on a 2-core machine, 2 s of it for the 266 isomorphism classes.
 
     python3 scripts/census.py --max-n 2
     python3 scripts/census.py --max-n 3 --json out.json
+    python3 scripts/census.py --max-n 4 --force
 """
 
 import argparse

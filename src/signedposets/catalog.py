@@ -82,25 +82,12 @@ def _group_root_permutations(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def canonical_mask(mask: int, root_perms: list[tuple[int, ...]]) -> int:
-    best = None
-    for perm in root_perms:
-        image = 0
-        rest = mask
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            image |= 1 << perm[k]
-            rest &= rest - 1
-        if best is None or image < best:
-            best = image
-    return best if best is not None else 0
-
-
 def canonical_form(p: SignedPoset) -> SignedPoset:
     """The orbit representative with the smallest bitmask over sorted roots."""
     kernel = root_kernel(p.n)
-    mask = canonical_mask(kernel.mask(p.roots), _group_root_permutations(p.n))
-    return SignedPoset(p.n, kernel.members(mask))
+    mask = kernel.mask(p.roots)
+    best = min(kernel.permuted(mask, perm) for perm in _group_root_permutations(p.n))
+    return SignedPoset(p.n, kernel.members(best))
 
 
 def enumerate_signed_posets(
@@ -109,14 +96,21 @@ def enumerate_signed_posets(
     """The catalog, sorted by size then by sorted root list.
 
     With ``up_to_iso`` each isomorphism class appears once, represented by
-    its canonical form.
+    its canonical form: each orbit is formed once, from any mask still in
+    the pool, and leaves the pool whole.
     """
     posets = iter_signed_posets(n, force=force)
     if up_to_iso:
         kernel = root_kernel(n)
         perms = _group_root_permutations(n)
-        reps = {canonical_mask(kernel.mask(p.roots), perms) for p in posets}
-        posets = (SignedPoset(n, kernel.members(mask)) for mask in sorted(reps))
+        pool = {kernel.mask(p.roots) for p in posets}
+        reps = []
+        while pool:
+            mask = pool.pop()
+            orbit = {kernel.permuted(mask, perm) for perm in perms}
+            pool -= orbit
+            reps.append(min(orbit))
+        posets = (SignedPoset(n, kernel.members(mask)) for mask in reps)
     return sorted(posets, key=lambda p: (len(p.roots), p.sorted_roots()))
 
 

@@ -269,14 +269,6 @@ def is_unimodal(hstar: Sequence[int]) -> bool:
     return i == len(hstar)
 
 
-def format_rational(value: Fraction) -> str:
-    """Serialize a rational as "p" or "p/q"."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def poly_to_json(coeffs: Sequence[Fraction | int]) -> list:
-    return [
-        c if isinstance(c, int) else format_rational(c) for c in coeffs
-    ]
+    """Integers as they are, fractions as their text "p" or "p/q"."""
+    return [c if isinstance(c, int) else str(c) for c in coeffs]

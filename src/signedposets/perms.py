@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, product
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InputError
 from .posets import SignedPoset
@@ -153,8 +153,6 @@ def are_isomorphic(p1: SignedPoset, p2: SignedPoset) -> Optional[SignedPermutati
     return None
 
 
-def orbit(p: SignedPoset, group: Optional[Iterable[SignedPermutation]] = None):
+def orbit(p: SignedPoset):
     """All distinct images ωP (as root frozensets), for isomorphism-class work."""
-    if group is None:
-        group = enumerate_signed_permutations(p.n)
-    return {act_poset(omega, p).roots for omega in group}
+    return {act_poset(omega, p).roots for omega in enumerate_signed_permutations(p.n)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AsymmetryViolation, CycleDetected
 from .linalg import nonneg_combination
@@ -42,11 +42,15 @@ class RootKernel(NamedTuple):
     def members(self, mask: int) -> frozenset[Root]:
         return frozenset(self.roots[k] for k in _bits(mask))
 
-    def negated(self, mask: int) -> int:
+    def permuted(self, mask: int, perm: Sequence[int]) -> int:
+        """The image of the mask under the root permutation k ↦ perm[k]."""
         out = 0
         for k in _bits(mask):
-            out |= 1 << self.negation[k]
+            out |= 1 << perm[k]
         return out
+
+    def negated(self, mask: int) -> int:
+        return self.permuted(mask, self.negation)
 
     def clash(self, mask: int) -> int:
         """The members whose negatives are members too (0 iff asymmetric)."""

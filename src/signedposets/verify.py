@@ -182,12 +182,6 @@ def _thawed(value):
     return list(value) if type(value) is tuple else value
 
 
-def pad_equal(a, b) -> bool:
-    """Coefficientwise equality of two h*-tuples up to trailing zeros."""
-    width = max(len(a), len(b))
-    return tuple(a) + (0,) * (width - len(a)) == tuple(b) + (0,) * (width - len(b))
-
-
 def check_minimal_representation(p: SignedPoset) -> CheckResult:
     """The bitmask kernel's M, proved with integer certificates and no LP:
     P is closed, each α ∈ M is separated from cone(M ∖ α), and M ⊆ P
@@ -234,11 +228,7 @@ def check_hstar_oracles(p: SignedPoset) -> CheckResult:
     by_desc = hstar_by_descents(p)
     by_count = hstar_from_counts(order_polytope(p))
     jh_size = len(jordan_holder(p))
-    passed = (
-        pad_equal(by_desc, by_count)
-        and sum(by_desc) == jh_size
-        and by_desc[0] == 1
-    )
+    passed = by_desc == by_count and sum(by_desc) == jh_size and by_desc[0] == 1
     return CheckResult(
         "hstar-oracles",
         passed,
@@ -589,7 +579,7 @@ def isomorphism_invariance_report(n: int = 2) -> dict:
             q = act_poset(omega, p)
             h = hstar_by_descents(q)
             g = is_gorenstein(q)
-            if not pad_equal(h, base_h) or g != base_g:
+            if h != base_h or g != base_g:
                 failures.append(
                     {
                         "poset": p.tokens(),

@@ -7,6 +7,7 @@ import pytest
 from reference_kernels import is_closed
 from signedposets import verify
 from signedposets.catalog import (
+    _group_root_permutations,
     canonical_form,
     census,
     enumerate_signed_posets,
@@ -14,10 +15,11 @@ from signedposets.catalog import (
     naturally_labeled_count,
 )
 from signedposets.geometry import order_polytope_irredundant
+from signedposets.gorenstein import is_gorenstein
 from signedposets.perms import act_poset, enumerate_signed_permutations
-from signedposets.posets import SignedPoset
+from signedposets.posets import SignedPoset, root_kernel
 from signedposets.roots import Root
-from signedposets.verify import check_minimal_representation
+from signedposets.verify import check_minimal_representation, verify_poset
 
 
 def walk_pairs(n):
@@ -127,6 +129,23 @@ def test_n3_isomorphism_classes():
     reps = enumerate_signed_posets(3, up_to_iso=True)
     assert len(reps) == 35
     assert all(canonical_form(p) == p for p in reps)
+    # a poset's minimum over the group and the enumerator's orbit minima agree
+    assert {canonical_form(p) for p in iter_signed_posets(3)} == set(reps)
+
+
+def test_n4_gate_on_the_isomorphism_classes():
+    # h* and the Gorenstein flag are invariant under the group (test_verify),
+    # so each representative speaks for its orbit, and the orbits tile the catalog
+    n4_classes = enumerate_signed_posets(4, up_to_iso=True, force=True)
+    assert len(n4_classes) == 266
+    kernel = root_kernel(4)
+    perms = _group_root_permutations(4)
+    masks = [kernel.mask(p.roots) for p in n4_classes]
+    sizes = [len({kernel.permuted(mask, perm) for perm in perms}) for mask in masks]
+    assert sum(sizes) == 60201
+    failed = [(p.tokens(), c.name) for p in n4_classes for c in verify_poset(p).failures()]
+    assert failed == []
+    assert sum(size for p, size in zip(n4_classes, sizes) if is_gorenstein(p)) == 12353
 
 
 def test_naturally_labeled_counts():

@@ -9,7 +9,6 @@ from signedposets.chains import chain_polytope
 from signedposets.ehrhart import (
     count_points,
     ehrhart_polynomial,
-    format_rational,
     gorenstein_index_by_counts,
     hstar_from_counts,
     integer_box,
@@ -116,13 +115,9 @@ def test_palindromic_and_unimodal():
     assert not is_unimodal((1, 0, 2))
 
 
-def test_format_rational():
-    assert format_rational(Fraction(3, 1)) == "3"
-    assert format_rational(Fraction(-1, 2)) == "-1/2"
-
-
 def test_poly_to_json():
     assert poly_to_json((Fraction(1), Fraction(5, 2))) == ["1", "5/2"]
+    assert poly_to_json((Fraction(3, 1), Fraction(-1, 2), 4)) == ["3", "-1/2", 4]
 
 
 def test_a_system_bounded_only_through_several_coordinates_is_not_counted():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,6 +118,28 @@ def test_orbit_sizes_divide_group_order():
     for p in enumerate_signed_posets(2):
         assert 8 % len(orbit(p)) == 0
     assert orbit(mk(2, [])) == {frozenset()}
+
+
+def generators(n):
+    """The n − 1 adjacent transpositions and the sign change of 1."""
+    swaps = []
+    for i in range(1, n):
+        word = list(range(1, n + 1))
+        word[i - 1], word[i] = word[i], word[i - 1]
+        swaps.append(SignedPermutation(tuple(word)))
+    return swaps + [SignedPermutation((-1,) + tuple(range(2, n + 1)))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjacent_swaps_and_one_sign_change_generate_the_group(n):
+    # so invariance under these n actions is invariance under all of S_n^B
+    reached = {SignedPermutation.identity(n)}
+    frontier = reached
+    while frontier:
+        frontier = {compose(w, s) for w in frontier for s in generators(n)} - reached
+        reached |= frontier
+    assert reached == set(enumerate_signed_permutations(n))
+    assert len(reached) == 2**n * math.factorial(n)
 
 
 def test_as_point():

@@ -7,17 +7,24 @@ import pytest
 
 import reference_kernels
 from signedposets import halfspaces, jordan, linalg, verify
+from signedposets.catalog import iter_signed_posets
 from signedposets.ehrhart import count_points
 from signedposets.geometry import order_polytope_irredundant
+from signedposets.gorenstein import is_gorenstein
 from signedposets.halfspaces import Halfspace, HalfspaceSystem
-from signedposets.jordan import DescentData, jordan_holder, naturalize, owner_table
-from signedposets.perms import SignedPermutation, enumerate_signed_permutations
+from signedposets.jordan import (
+    DescentData,
+    hstar_by_descents,
+    jordan_holder,
+    naturalize,
+    owner_table,
+)
+from signedposets.perms import SignedPermutation, act_poset, enumerate_signed_permutations
 from signedposets.posets import SignedPoset, from_generators, root_kernel
 from signedposets.roots import parse_root
 from signedposets.verify import (
     ALL_CHECKS,
     isomorphism_invariance_report,
-    pad_equal,
     subchain_sufficiency_witness,
     verify_catalog,
     verify_poset,
@@ -46,12 +53,6 @@ def test_check_names():
     ]
 
 
-def test_pad_equal():
-    assert pad_equal((1, 2), (1, 2, 0, 0))
-    assert pad_equal((), (0,))
-    assert not pad_equal((1, 2), (1, 2, 1))
-
-
 def test_verify_poset_all_checks_pass():
     report = verify_poset(mk(2, ["-1+2", "+1+2"]))
     assert report.passed
@@ -72,6 +73,22 @@ def test_verify_catalog_n1():
     assert all(v == 3 for v in report.check_passes.values())
     doc = report.to_json_dict()
     assert doc["posets"] == 3 and doc["failures"] == []
+
+
+def test_hstar_and_gorenstein_are_invariant_under_the_generators_at_n3():
+    # the swaps of 1, 2 and of 2, 3 and the sign change of 1 generate S_3^B
+    # (test_perms), so a class representative speaks for its whole orbit
+    generators = [SignedPermutation(w) for w in ((2, 1, 3), (1, 3, 2), (-1, 2, 3))]
+    posets = list(iter_signed_posets(3))
+    assert len(posets) == 941
+    failures = []
+    for p in posets:
+        base = (hstar_by_descents(p), is_gorenstein(p))
+        for omega in generators:
+            q = act_poset(omega, p)
+            if (hstar_by_descents(q), is_gorenstein(q)) != base:
+                failures.append((p.tokens(), omega.images))
+    assert failures == []
 
 
 def test_isomorphism_invariance_report():

@@ -115,6 +115,12 @@ def test_palindromic_and_unimodal():
     assert not is_unimodal((1, 0, 2))
 
 
+def test_format_rational():
+    # Rationals are written as "p" or "p/q"; poly_to_json does the writing.
+    assert poly_to_json((Fraction(3, 1),)) == ["3"]
+    assert poly_to_json((Fraction(-1, 2),)) == ["-1/2"]
+
+
 def test_poly_to_json():
     assert poly_to_json((Fraction(1), Fraction(5, 2))) == ["1", "5/2"]
     assert poly_to_json((Fraction(3, 1), Fraction(-1, 2), 4)) == ["3", "-1/2", 4]

@@ -1,6 +1,9 @@
 """Exhaustive enumeration of signed posets at small rank."""
 
+import hashlib
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,14 @@ from signedposets.perms import act_poset, enumerate_signed_permutations
 from signedposets.posets import SignedPoset, root_kernel
 from signedposets.roots import Root
 from signedposets.verify import check_minimal_representation, verify_poset
+
+
+def _report_digest():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def walk_pairs(n):
@@ -143,9 +154,14 @@ def test_n4_gate_on_the_isomorphism_classes():
     masks = [kernel.mask(p.roots) for p in n4_classes]
     sizes = [len({kernel.permuted(mask, perm) for perm in perms}) for mask in masks]
     assert sum(sizes) == 60201
-    failed = [(p.tokens(), c.name) for p in n4_classes for c in verify_poset(p).failures()]
+    reports = [verify_poset(p) for p in n4_classes]
+    failed = [(p.tokens(), c.name) for p, r in zip(n4_classes, reports) for c in r.failures()]
     assert failed == []
     assert sum(size for p, size in zip(n4_classes, sizes) if is_gorenstein(p)) == 12353
+    # the `n = 4 classes` line of `scripts/report_digest.py`
+    assert hashlib.sha256(_report_digest().report_bytes(reports)).hexdigest() == (
+        "32ecd6b07e0883629ec5adb3c139ff6751f920cd822b27969e0662e64cc82964"
+    )
 
 
 def test_naturally_labeled_counts():

@@ -12,6 +12,7 @@ position in the catalog.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import InputError
@@ -73,13 +74,15 @@ def iter_signed_posets(n: int, force: bool = False) -> Iterator[SignedPoset]:
     return (SignedPoset(n, kernel.members(mask)) for mask in masks)
 
 
-def _group_root_permutations(n: int) -> list[tuple[int, ...]]:
+# Built once per n, shared by `canonical_form` and the class enumeration.
+@lru_cache(maxsize=2)
+def _group_root_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     """For each signed permutation ω, the induced permutation of root indices."""
     kernel = root_kernel(n)
-    return [
+    return tuple(
         tuple(kernel.index[act(omega, alpha)] for alpha in kernel.roots)
         for omega in enumerate_signed_permutations(n)
-    ]
+    )
 
 
 def canonical_form(p: SignedPoset) -> SignedPoset:

@@ -2,11 +2,13 @@
 
 Counting is a depth-first scan of an integer box in integers: each row's
 partial sum bounds the next coordinate to an interval, which prunes branches
-and counts the last coordinate without a loop.  The box comes from the rows
-with a single nonzero coordinate, by one integer formula for every dilate;
-no LP is solved here.  Every system the library counts has such rows on each
-coordinate side (O_P's and C_P's cube rows among them).  Counts are cached on
-the systems' integer rows in an LRU cache of fixed size.
+and counts the last coordinate without a loop.  It reads only the integer
+program ⟨a, x⟩ ≥ c, the rows' normals and the bounds c of
+`HalfspaceSystem.integer_bounds`, with no t and no strictness, and counts
+are cached on that program in an LRU cache of fixed size.  The box comes
+from the rows with a single nonzero coordinate, by one integer formula on
+those bounds; no LP is solved here.  Every system the library counts has
+such rows on each coordinate side (O_P's and C_P's cube rows among them).
 Ehrhart data has one form, the integer h* of the counts at t = 0..n; nothing
 is interpolated.  ehr(t) = Σ_j h*_j·C(t+n−j, n) is evaluated in integers at
 any integer t, and only `ehrhart_polynomial` divides, by n!, into `Fraction`.
@@ -20,26 +22,26 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalInconsistency, NegativeHstar, UnboundedSystem
-from .halfspaces import HalfspaceSystem, Rows, rows_from_key
+from .halfspaces import HalfspaceSystem
 
 
-def _integer_box(n: int, rows: Rows, t: int) -> list[tuple[int, int]]:
-    """Integer bounds of each coordinate over the t-dilate, from its
-    single-coordinate rows: c·x_i ≥ t·b gives x_i ≥ ⌈t·b/c⌉ when c > 0 and
-    x_i ≤ ⌊t·b/c⌋ when c < 0."""
+def _integer_box(n: int, normals: tuple, bounds: tuple) -> list[tuple[int, int]]:
+    """Integer bounds of each coordinate from the single-coordinate rows:
+    a·x_i ≥ c gives x_i ≥ ⌈c/a⌉ when a > 0 and x_i ≤ ⌊c/a⌋ when a < 0."""
     lo: list[Optional[int]] = [None] * n
     hi: list[Optional[int]] = [None] * n
-    for a, b in rows:
-        support = [i for i, c in enumerate(a) if c != 0]
+    for k, c in enumerate(bounds):
+        row = normals[k * n : k * n + n]
+        support = [i for i, a in enumerate(row) if a != 0]
         if len(support) != 1:
             continue
         (i,) = support
-        c = a[i]
-        if c > 0:
-            bound = -(-t * b // c)
+        a = row[i]
+        if a > 0:
+            bound = -(-c // a)
             lo[i] = bound if lo[i] is None else max(lo[i], bound)
         else:
-            bound = t * b // c
+            bound = c // a
             hi[i] = bound if hi[i] is None else min(hi[i], bound)
     for i in range(n):
         if lo[i] is None or hi[i] is None:
@@ -58,23 +60,12 @@ def integer_box(system: HalfspaceSystem, t: int) -> list[tuple[int, int]]:
     coordinate side that no such row bounds raises `UnboundedSystem`, even
     when rows on several coordinates bound it.
     """
-    return _integer_box(*rows_from_key(system.key), t)
+    return _integer_box(system.n, system.normals, system.integer_bounds(t))
 
 
 @lru_cache(maxsize=4096)
-def _count(key: tuple[int, ...], t: int, strict: bool) -> int:
-    if t < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    n, rows = rows_from_key(key)
-    box = _integer_box(n, rows, t)
-    if any(lo > hi for lo, hi in box):
-        return 0
-    # In integers a strict row ⟨a, x⟩ > t·b is ⟨a, x⟩ ≥ t·b + 1.
-    return _scan(box, [(a, t * b + strict) for a, b in rows])
-
-
-def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -> int:
-    """Points x of the box with ⟨a, x⟩ ≥ b for every row, depth first.
+def _count(n: int, normals: tuple, bounds: tuple) -> int:
+    """Points x of the integer box with ⟨a, x⟩ ≥ b for every row, depth first.
 
     Coordinates are fixed in order, keeping each row's partial sum.  At depth
     d a row bounds x_d: its partial sum, plus a_d·x_d, plus the most the
@@ -84,21 +75,23 @@ def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -
     only needs checking at the coordinates where it is nonzero: between
     them its partial sum and bound do not move.
     """
-    n = len(box)
+    box = _integer_box(n, normals, bounds)
+    if any(lo > hi for lo, hi in box):
+        return 0
     # levels[d]: (row, a_d, b − the largest Σ_{k > d} a_k·x_k over the box)
     # for each row nonzero at d.
     levels: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for r, (a, b) in enumerate(rows):
+    for r, b in enumerate(bounds):
         reach = 0
         for d in reversed(range(n)):
-            c = a[d]
+            c = normals[r * n + d]
             if c:
                 levels[d].append((r, c, b - reach))
                 lo, hi = box[d]
                 reach += c * (hi if c > 0 else lo)
         if reach < b:  # no point of the box satisfies this row
             return 0
-    partial = [0] * len(rows)
+    partial = [0] * len(bounds)
     last = n - 1
 
     def count(d: int) -> int:
@@ -131,15 +124,19 @@ def _scan(box: list[tuple[int, int]], rows: list[tuple[tuple[int, ...], int]]) -
 def count_points(system: HalfspaceSystem, t: int, strict: bool = False) -> int:
     """|tP ∩ Z^n| (or the strict-interior count) by a depth-first box scan.
 
-    Cached on the rows' integers (`system.key`), so systems that differ only
-    in labels share an entry, in an LRU cache of 4,096 entries: the
-    verification sweeps ask for the same counts many times (h*, reciprocity
-    and the Gorenstein index all sit on the same values).
-    `count_points.cache_info()` and `count_points.cache_clear()` work as for
-    `functools.lru_cache`.  The box comes from single-coordinate rows only
-    (see `integer_box`), so a system without them raises `UnboundedSystem`.
+    Cached on the integer program scanned, `system.normals` and
+    `system.integer_bounds(t, strict)`, in an LRU of 4,096 entries.  Systems
+    that differ only in labels share an entry, and so do a strict count and
+    a weak one with equal bounds, as C_P's strict count at t and weak count
+    at t − 1 are; h*, reciprocity and the Gorenstein index all sit on the
+    same values.  `count_points.cache_info()` and `count_points.cache_clear()`
+    work as for `functools.lru_cache`.  The box comes from single-coordinate
+    rows only (see `integer_box`), so a system without them raises
+    `UnboundedSystem`.
     """
-    return _count(system.key, t, strict)
+    if t < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    return _count(system.n, system.normals, system.integer_bounds(t, strict))
 
 
 count_points.cache_info = _count.cache_info

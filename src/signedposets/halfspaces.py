@@ -3,8 +3,11 @@
 A system is a finite list of weak inequalities ⟨a, x⟩ ≥ b with integer data.
 Dilation by t scales the right-hand sides (rows with b = 0 — the poset rows —
 are dilation-invariant).  Strict membership uses the same rows strictly.
-Labels are for reading only: `HalfspaceSystem.key` holds the integer data
-alone, and is what caches and kernels key on.
+Labels are for reading only.  On lattice points the t-dilate's rows are
+⟨a, x⟩ ≥ c, c = t·b (t·b + 1 if strict): `integer_bounds` and the label-free
+`normals` are the integer program that lattice kernels scan and key on, so
+C_P's strict t-dilate (every b = −1) is its weak (t − 1)-dilate there.
+`contains` also tests rational points, so it compares with t·b itself.
 
 Lattice membership on a cube grid [−r, r]^n is decided by bitmask: bit k of
 `row_mask(n, r, a, c)` says whether ⟨a, x_k⟩ ≥ c at the k-th point of
@@ -52,16 +55,13 @@ class HalfspaceSystem:
                 raise ValueError(f"row {row} has wrong dimension (expected {self.n})")
 
     @cached_property
-    def key(self) -> tuple[int, ...]:
-        """(n, a_1, b_1, a_2, b_2, …) flattened: the rows without their labels.
+    def normals(self) -> tuple[int, ...]:
+        """a_1, a_2, … flattened: the rows' normals, without b or labels."""
+        return tuple([c for row in self.rows for c in row.a])
 
-        `rows_from_key` reads it back.
-        """
-        flat = [self.n]
-        for row in self.rows:
-            flat += row.a
-            flat.append(row.b)
-        return tuple(flat)
+    def integer_bounds(self, t: int = 1, strict: bool = False) -> tuple[int, ...]:
+        """Each row's c = t·b + strict: an integer x has ⟨a, x⟩ ≥ t·b (> if strict) iff ⟨a, x⟩ ≥ c."""
+        return tuple([t * row.b + strict for row in self.rows])
 
     def contains(
         self, x: Sequence[int | Fraction], t: int = 1, strict: bool = False
@@ -80,8 +80,8 @@ class HalfspaceSystem:
         """The mask of the points of [−r, r]^n in the t-dilate (strictly, if
         asked), bit k for the k-th point of `grid_points(n, r)`."""
         mask = (1 << (2 * r + 1) ** self.n) - 1
-        for row in self.rows:
-            mask &= row_mask(self.n, r, row.a, t * row.b + strict)
+        for row, c in zip(self.rows, self.integer_bounds(t, strict)):
+            mask &= row_mask(self.n, r, row.a, c)
         return mask
 
     def to_json_dict(self) -> dict:
@@ -130,18 +130,6 @@ def row_mask(n: int, r: int, a: tuple[int, ...], c: int) -> int:
 def select(items: Sequence, mask: int) -> list:
     """The items whose bit is set in `mask`, in their order."""
     return list(compress(items, map("1".__eq__, bin(mask)[:1:-1])))
-
-
-Rows = tuple[tuple[tuple[int, ...], int], ...]
-
-
-def rows_from_key(key: tuple[int, ...]) -> tuple[int, Rows]:
-    """(n, ((a, b), …)) back from a `HalfspaceSystem.key`."""
-    n = key[0]
-    flat = key[1:]
-    return n, tuple(
-        (flat[k : k + n], flat[k + n]) for k in range(0, len(flat), n + 1)
-    )
 
 
 def cube_rows(n: int) -> list[Halfspace]:

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from operator import mul
 from typing import Sequence
 
 from .errors import InternalInconsistency
@@ -263,25 +264,33 @@ def owner_table(n: int, t: int) -> OwnerTable:
     """
     table = OwnerTable(n, t, {}, None)
     cells = {sigma.images: cell(sigma) for sigma in enumerate_signed_permutations(n)}
-    owner_of = {}
+    owners = []  # the owner's cell of the point of index Σ_j (x_j + t)·(2t + 1)^(n−1−j)
     owned = {}  # window -> the indices of its points
     for k, x in enumerate(product(range(-t, t + 1), repeat=n)):
-        w = owner_of[x] = owner(x)
+        w = owner(x)
+        owners.append(cells[w])
         if not half_open_contains(cells[w], x, t):
             return replace(table, counterexample=(x, w))
         owned.setdefault(w, []).append(k)
     chains = list(combinations_with_replacement(range(t + 1), n))
+    weights = [(2 * t + 1) ** (n - 1 - j) for j in range(n)]
+    origin = t * sum(weights)
     for w, cell_ in cells.items():
         # Coordinate j takes the chain value at position |σ⁻¹(j)|, signed.
         slots = [(abs(k) - 1, 1 if k > 0 else -1) for k in cell_.sigma.inverse().images]
         for chain in chains:
             x = tuple([sign * chain[k] for k, sign in slots])
             inside = half_open_contains(cell_, x, t)
-            if inside != (owner_of[x] == w) or (
+            if inside != (owners[origin + sum(map(mul, weights, x))] is cell_) or (
                 t <= GENERIC_T_MAX and inside != half_open_contains_generic(cell_.sigma, x, t)
             ):
                 return replace(table, counterexample=(x, w))
-    masks = {w: sum(1 << k for k in ks) for w, ks in owned.items()}
+    masks = {}
+    for w, ks in owned.items():  # set bytes, not ints: one big-int build a window
+        bits = bytearray((len(owners) + 7) // 8)
+        for k in ks:
+            bits[k >> 3] |= 1 << (k & 7)
+        masks[w] = int.from_bytes(bits, "little")
     return replace(table, cell_masks=masks)
 
 

@@ -430,7 +430,9 @@ def check_chain_polytope(p: SignedPoset) -> CheckResult:
     polynomial that the h* of the counts at t = 0..n gives, as they do for a
     lattice polytope; a rational vertex makes the count a quasi-polynomial,
     which the rows {x ≤ 1, y ≤ 1, x + 2y ≥ −1, 2x + y ≥ −1} (vertex
-    (−⅓, −⅓)) miss by one point at t = 3.
+    (−⅓, −⅓)) miss by one point at t = 3.  Every b is −1, so reciprocity's
+    strict count at t is the integer program of the weak count at t − 1: it
+    re-reads the cached scans behind the h*, testing (−1)^n·ehr(−t) = ehr(t − 1).
     """
     cp = chain_polytope(p)
     rows_ok = is_reflexive(cp)

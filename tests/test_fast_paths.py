@@ -69,12 +69,12 @@ from signedposets.gorenstein import (
     is_graded,
     minimal_fischer_representation,
 )
-from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows, rows_from_key
+from signedposets.halfspaces import Halfspace, HalfspaceSystem, cube_rows
 from signedposets.jordan import half_open_contains_generic, jordan_holder
 from signedposets.linalg import dot, solve_standard
 from signedposets.perms import enumerate_signed_permutations
 from signedposets.posets import from_generators, minimal_representation
-from signedposets.roots import all_roots
+from signedposets.roots import all_roots, parse_root
 from signedposets.verify import (
     check_chain_polytope,
     check_interior_point,
@@ -154,12 +154,39 @@ def test_count_cache_keys_on_rows_not_labels():
     relabelled = HalfspaceSystem(
         2, tuple(Halfspace(r.a, r.b, f"other {k}") for k, r in enumerate(rows))
     )
-    assert plain != relabelled and plain.key == relabelled.key
-    assert rows_from_key(plain.key) == (2, tuple((r.a, r.b) for r in rows))
+    assert plain != relabelled and plain.normals == relabelled.normals
     count_points.cache_clear()
     assert count_points(plain, 2) == count_points(relabelled, 2) == 25
     info = count_points.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def _count_misses(system, t, strict=False):
+    before = count_points.cache_info()
+    count = count_points(system, t, strict)
+    after = count_points.cache_info()
+    return count, (after.hits - before.hits, after.misses - before.misses)
+
+
+def test_strict_count_is_the_cached_weak_count_one_dilate_down():
+    # With every b = −1, ⟨a, x⟩ > −t and ⟨a, x⟩ ≥ −(t − 1) are one integer
+    # program; a row with b = −2 makes them two (−2t + 1 against −2t + 2),
+    # except at t − 1 = 0, where every b gives 0.
+    fig1 = from_generators(2, [parse_root("-1+2"), parse_root("+1+2")])
+    for system in (HalfspaceSystem(3, tuple(cube_rows(3))), chain_polytope(fig1)):
+        assert {row.b for row in system.rows} == {-1}
+        first = system.rows[0]
+        bent = HalfspaceSystem(system.n, (Halfspace(first.a, -2),) + system.rows[1:])
+        count_points.cache_clear()
+        for t in range(1, 6):
+            weak, _ = _count_misses(system, t - 1)
+            assert _count_misses(system, t, strict=True) == (weak, (1, 0))
+            assert weak == count_by_box_scan(system, t, strict=True)
+        for t in range(2, 6):
+            for dilate, strict in ((t - 1, False), (t, True)):
+                count, (_, misses) = _count_misses(bent, dilate, strict)
+                assert misses == 1
+                assert count == count_by_box_scan(bent, dilate, strict)
 
 
 def test_count_cache_behaves_as_an_lru_cache_of_4096_entries():
@@ -263,11 +290,15 @@ def test_simplex_solves_beale_without_cycling():
     assert x == [Fraction(3, 4), 0, 0, 1, 0, 1, 0]
 
 
+def _rows(system):
+    return tuple((row.a, row.b) for row in system.rows)
+
+
 def _count_agrees(system, tmax):
     for t in range(tmax + 1):
         for strict in (False, True):
             assert count_points(system, t, strict) == count_by_box_scan(system, t, strict), (
-                system.key, t, strict
+                _rows(system), t, strict
             )
 
 
@@ -344,7 +375,7 @@ def test_grid_mask_equals_contains_up_to_n3():
     systems = {}
     for p in CATALOG:
         for system in _grid_systems(p):
-            systems.setdefault(system.key, system)
+            systems.setdefault(_rows(system), system)
     rows = {
         (system.n, row.a, row.b): HalfspaceSystem(system.n, (row,))
         for system in systems.values()

@@ -34,6 +34,7 @@ PER_WINDOW = (jordan.cell_determinant,)
 # Every other cache of the package.  A new cache must be named here or in
 # PER_POSET, so that none escapes the checks below unseen.
 OTHER_CACHES = {
+    "catalog._group_root_permutations",
     "ehrhart._count",
     "ehrhart.count_points",
     "halfspaces.grid_points",

@@ -161,7 +161,7 @@ def test_count_cache_keys_on_rows_not_labels():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
-def _count_misses(system, t, strict=False):
+def _count_with_cache_change(system, t, strict=False):
     before = count_points.cache_info()
     count = count_points(system, t, strict)
     after = count_points.cache_info()
@@ -179,12 +179,12 @@ def test_strict_count_is_the_cached_weak_count_one_dilate_down():
         bent = HalfspaceSystem(system.n, (Halfspace(first.a, -2),) + system.rows[1:])
         count_points.cache_clear()
         for t in range(1, 6):
-            weak, _ = _count_misses(system, t - 1)
-            assert _count_misses(system, t, strict=True) == (weak, (1, 0))
+            weak, _ = _count_with_cache_change(system, t - 1)
+            assert _count_with_cache_change(system, t, strict=True) == (weak, (1, 0))
             assert weak == count_by_box_scan(system, t, strict=True)
         for t in range(2, 6):
             for dilate, strict in ((t - 1, False), (t, True)):
-                count, (_, misses) = _count_misses(bent, dilate, strict)
+                count, (_, misses) = _count_with_cache_change(bent, dilate, strict)
                 assert misses == 1
                 assert count == count_by_box_scan(bent, dilate, strict)
 

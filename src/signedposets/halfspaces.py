@@ -11,7 +11,9 @@ C_P's strict t-dilate (every b = −1) is its weak (t − 1)-dilate there.
 
 Lattice membership on a cube grid [−r, r]^n is decided by bitmask: bit k of
 `row_mask(n, r, a, c)` says whether ⟨a, x_k⟩ ≥ c at the k-th point of
-`grid_points(n, r)`, and `HalfspaceSystem.grid_mask` ANDs its rows' masks.
+`grid_points(n, r)`, and `HalfspaceSystem.grid_mask(r, t)` ANDs its rows'
+masks at c = t·b, the weak t-dilate; strict membership is only counted
+(`ehrhart.count_points`) or tested (`contains`).
 The comparisons are the same exact integer ones that `contains` makes, each
 made once per (n, r, a, c) while the mask stays cached; the checks compare
 and combine whole grids with one integer operation.  Nothing is built at
@@ -76,11 +78,11 @@ class HalfspaceSystem:
                 return False
         return True
 
-    def grid_mask(self, r: int, t: int = 1, strict: bool = False) -> int:
-        """The mask of the points of [−r, r]^n in the t-dilate (strictly, if
-        asked), bit k for the k-th point of `grid_points(n, r)`."""
+    def grid_mask(self, r: int, t: int = 1) -> int:
+        """The mask of the points of [−r, r]^n in the t-dilate, bit k for the
+        k-th point of `grid_points(n, r)`."""
         mask = (1 << (2 * r + 1) ** self.n) - 1
-        for row, c in zip(self.rows, self.integer_bounds(t, strict)):
+        for row, c in zip(self.rows, self.integer_bounds(t)):
             mask &= row_mask(self.n, r, row.a, c)
         return mask
 
@@ -110,7 +112,7 @@ def grid_points(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(product(range(-r, r + 1), repeat=n))
 
 
-# Keyed on (n, r, a, c): the n = 3 sweep uses 96 entries.
+# Keyed on (n, r, a, c): the n = 3 sweep uses 111 entries, 300 n = 4 posets 241.
 @lru_cache(maxsize=1024)
 def row_mask(n: int, r: int, a: tuple[int, ...], c: int) -> int:
     """The int whose bit k is set iff ⟨a, x_k⟩ ≥ c, x_k the k-th point of

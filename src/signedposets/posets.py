@@ -20,7 +20,6 @@ from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AsymmetryViolation, CycleDetected
-from .linalg import nonneg_combination
 from .roots import Root, all_roots, inner_product
 
 
@@ -120,6 +119,8 @@ def cone_contains(gamma: Root, s: Iterable[Root], n: int) -> bool:
     >>> cone_contains(r("+1"), {r("-1+2"), r("+1+2")}, 2)
     False
     """
+    from .linalg import nonneg_combination
+
     s = list(s)
     if gamma in s:
         return True

@@ -5,8 +5,8 @@ independent route, and no check solves an LP: P's closure and minimal
 representation M by integer certificates (signed filters, and a derivation
 of P from M); descent-counted h* against lattice-point-counted h*; the
 irredundant description's rows proved necessary by integer witness points,
-its cube bounds derived from its rows, and its lattice counts against
-O_P's; the half-open triangulation against plain point membership
+its cube bounds derived from its rows, and its lattice points against O_P's,
+by grid mask; the half-open triangulation against plain point membership
 (`jordan.owner_table` proves the cells' partition of each cube dilate once
 per (n, t) and keeps each cell's mask of cube points, so a poset's JH cells
 need one OR of masks, compared with tO_P's grid mask); Fischer gradedness
@@ -270,20 +270,17 @@ def check_irredundant_description(p: SignedPoset) -> CheckResult:
     each of its rows is necessary, with no LP.
 
     irr keeps a subset of O_P's rows, so O_P ⊆ irr, and its `derived_bounds`
-    must hold all 2n sides of the cube.  Adding the cube rows it leaves out
-    then leaves it the same polytope, which, unlike irr, has a box to count
-    in; its counts must equal O_P's at t = 1..T_MAX.  Each row of irr needs a
+    must hold all 2n sides of the cube, so irr ⊆ [−1, 1]^n.  The cube
+    [−t, t]^n then holds every lattice point of both t-dilates, and their
+    grid masks there must be equal at t = 1..T_MAX.  Each row of irr needs a
     `necessity_witness` that, evaluated again row by row, violates it alone.
     """
     full = order_polytope(p)
     irr = order_polytope_irredundant(p)
-    kept = {(row.a, row.b) for row in irr.rows}
-    left_out = tuple(row for row in cube_rows(p.n) if (row.a, row.b) not in kept)
-    boxed = HalfspaceSystem(p.n, irr.rows + left_out)
     passed = (
-        kept <= {(row.a, row.b) for row in full.rows}
+        {(row.a, row.b) for row in irr.rows} <= {(row.a, row.b) for row in full.rows}
         and len(derived_bounds(irr)) == 2 * p.n
-        and all(count_points(full, t) == count_points(boxed, t) for t in range(1, T_MAX + 1))
+        and all(irr.grid_mask(t, t) == full.grid_mask(t, t) for t in range(1, T_MAX + 1))
         and all(_witnessed(irr, i) for i in range(len(irr.rows)))
     )
     return CheckResult(
@@ -408,14 +405,13 @@ def check_hstar_unimodal_when_gorenstein(p: SignedPoset) -> CheckResult:
 
 def check_fischer_halfspaces(p: SignedPoset) -> CheckResult:
     """The relation rows of Ĝ(M), and of Ĝ(P), carve out the same polytope as
-    O_P: the same lattice points of {−1, 0, 1}^n, by grid mask, and the same
-    count at t = 2."""
+    O_P: the same points at t = 1, 2, by grid mask on [−t, t]^n, which holds
+    both t-dilates since both systems carry the cube rows."""
     system = order_polytope(p)
-    points = system.grid_mask(1)
+    points = [system.grid_mask(t, t) for t in (1, 2)]
     fh = fischer_halfspaces(minimal_fischer_representation(p))
     passed = all(
-        fischer.grid_mask(1) == points
-        and count_points(fischer, 2) == count_points(system, 2)
+        [fischer.grid_mask(t, t) for t in (1, 2)] == points
         for fischer in (fh, fischer_halfspaces(fischer_representation(p)))
     )
     return CheckResult("fischer-halfspaces", passed, {"rows": len(fh.rows)})

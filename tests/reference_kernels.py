@@ -378,12 +378,12 @@ def row_is_necessary_by_scan(system, index: int) -> bool:
     return _lp_row_is_necessary(system, index)
 
 
-def grid_mask_by_contains(system, r: int, t: int = 1, strict: bool = False) -> int:
+def grid_mask_by_contains(system, r: int, t: int = 1) -> int:
     """`HalfspaceSystem.grid_mask` by `contains` at each point of [−r, r]^n."""
     return sum(
         1 << k
         for k, x in enumerate(grid_points(system.n, r))
-        if system.contains(x, t, strict)
+        if system.contains(x, t)
     )
 
 

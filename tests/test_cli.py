@@ -429,6 +429,7 @@ def test_light_commands_load_no_cross_checks(tmp_path, fig1, command):
                      tmp_path)
     assert "signedposets.posets" in loaded
     assert not loaded & WHOLE_PACKAGE
+    assert "signedposets.linalg" not in loaded
 
 
 def test_verify_loads_the_cross_checks(tmp_path, fig1):

@@ -77,7 +77,9 @@ from signedposets.posets import from_generators, minimal_representation
 from signedposets.roots import all_roots, parse_root
 from signedposets.verify import (
     check_chain_polytope,
+    check_fischer_halfspaces,
     check_interior_point,
+    check_irredundant_description,
     check_minimal_representation,
     check_triangulation,
     subchain_trials,
@@ -371,7 +373,7 @@ def _grid_systems(p):
 
 def test_grid_mask_equals_contains_up_to_n3():
     # Each distinct row of every system alone at r = 1..3, at t = 1 and at
-    # t = r, weak and strict; then each distinct system at r = 1.
+    # t = r; then each distinct system at r = 1.
     systems = {}
     for p in CATALOG:
         for system in _grid_systems(p):
@@ -384,11 +386,21 @@ def test_grid_mask_equals_contains_up_to_n3():
     assert len(systems) > 3000 and len(rows) > 70
     for one in rows.values():
         for r in (1, 2, 3):
-            for t, strict in product({1, r}, (False, True)):
-                assert one.grid_mask(r, t, strict) == grid_mask_by_contains(one, r, t, strict)
+            for t in {1, r}:
+                assert one.grid_mask(r, t) == grid_mask_by_contains(one, r, t)
     for system in systems.values():
-        for strict in (False, True):
-            assert system.grid_mask(1, 1, strict) == grid_mask_by_contains(system, 1, 1, strict)
+        assert system.grid_mask(1) == grid_mask_by_contains(system, 1)
+
+
+def test_set_claims_compare_grid_masks_and_count_nothing(monkeypatch):
+    # Both checks claim that two descriptions have the same lattice points.
+    def no_count(*args, **kwargs):
+        raise AssertionError("a set claim counted lattice points")
+
+    monkeypatch.setattr(verify, "count_points", no_count)
+    for p in CATALOG + _seeded_posets(4, 30, "count-oracle:4"):
+        assert check_irredundant_description(p).passed, p.tokens()
+        assert check_fischer_halfspaces(p).passed, p.tokens()
 
 
 def test_triangulation_by_mask_equals_the_owner_scan_up_to_n3_and_at_n4():
@@ -449,7 +461,7 @@ def test_every_count_of_a_verify_sweep_solves_no_lp(monkeypatch):
 
     for module in (ehrhart, verify):
         monkeypatch.setattr(module, "count_points", record)
-    for p in CATALOG[:36]:  # n ≤ 2
+    for p in CATALOG[:60]:  # n ≤ 2, and 24 posets of n = 3
         assert verify_poset(p).passed
     monkeypatch.undo()
 
